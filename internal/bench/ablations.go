@@ -164,7 +164,7 @@ func AblFeatures(cfg Config) (*Table, error) {
 		o.Partitions = 8
 		return o
 	}
-	xs, err := xstream.Run(vol, ds.Meta.Name, mkBase())
+	xs, err := core.RunXStream(vol, ds.Meta.Name, mkBase())
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"fastbfs/internal/core"
 	"fastbfs/internal/storage"
-	"fastbfs/internal/xstream"
 )
 
 // tinyCfg runs experiments at the smallest preset so the whole shape
@@ -434,7 +433,7 @@ func TestWorkingSetInventory(t *testing.T) {
 	}
 	opts := baseOpts(ds, hddSim(tinyCfg().Scale))
 	opts.KeepFiles = true
-	if _, err := xstream.Run(vol, ds.Meta.Name, opts); err != nil {
+	if _, err := core.RunXStream(vol, ds.Meta.Name, opts); err != nil {
 		t.Fatal(err)
 	}
 	o2 := baseOpts(ds, hddSim(tinyCfg().Scale))

@@ -69,7 +69,7 @@ func DirectionSweep(cfg Config) (*Table, error) {
 			var res *xstream.Result
 			var err error
 			if eng == "xstream" {
-				res, err = xstream.Run(vol, ds.Meta.Name, o)
+				res, err = core.RunXStream(vol, ds.Meta.Name, o)
 			} else {
 				res, err = core.Run(vol, ds.Meta.Name, core.Options{Base: o})
 			}

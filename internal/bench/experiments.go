@@ -65,7 +65,7 @@ func runTriple(cfg Config, vol storage.Volume, ds Dataset, mkSim func(Scale) *xs
 		return nil, nil, nil, fmt.Errorf("graphchi on %s: %w", ds.Meta.Name, err)
 	}
 	cfg.logf("  %s: xstream", ds.PaperName)
-	xs, err = xstream.Run(vol, ds.Meta.Name, baseOpts(ds, mkSim(cfg.Scale)))
+	xs, err = core.RunXStream(vol, ds.Meta.Name, baseOpts(ds, mkSim(cfg.Scale)))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("xstream on %s: %w", ds.Meta.Name, err)
 	}
@@ -318,7 +318,7 @@ func Fig8(cfg Config) (*Table, error) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		o := baseOpts(ds, hddSim(cfg.Scale))
 		o.Threads = threads
-		xs, err := xstream.Run(vol, ds.Meta.Name, o)
+		xs, err := core.RunXStream(vol, ds.Meta.Name, o)
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +349,7 @@ func Fig9(cfg Config) (*Table, error) {
 	for _, b := range PaperBudgets(ds.Meta) {
 		o := baseOpts(ds, hddSim(cfg.Scale))
 		o.MemoryBudget = b.Bytes
-		xs, err := xstream.Run(vol, ds.Meta.Name, o)
+		xs, err := core.RunXStream(vol, ds.Meta.Name, o)
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +380,7 @@ func Fig10(cfg Config) (*Table, error) {
 	min1, max1 := 1e18, 0.0
 	minX, maxX := 1e18, 0.0
 	for _, d := range ds {
-		xs, err := xstream.Run(vol, d.Meta.Name, baseOpts(d, hddSim(cfg.Scale)))
+		xs, err := core.RunXStream(vol, d.Meta.Name, baseOpts(d, hddSim(cfg.Scale)))
 		if err != nil {
 			return nil, err
 		}

@@ -67,7 +67,7 @@ func TestDeltaCorruptBlockFailsStop(t *testing.T) {
 			return Run(vol, g, Options{Base: base()})
 		}},
 		{"xstream", func(vol storage.Volume, g string) (*xstream.Result, error) {
-			return xstream.Run(vol, g, base())
+			return RunXStream(vol, g, base())
 		}},
 		{"graphchi", func(vol storage.Volume, g string) (*xstream.Result, error) {
 			return graphchi.Run(vol, g, base())

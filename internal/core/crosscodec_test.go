@@ -140,7 +140,7 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 					baseline("fastbfs("+variant+")", key{"fastbfs", reorder}, fb)
 
 					bo.Sim = xstream.DefaultSim()
-					xs, err := xstream.Run(vol, m.Name, bo)
+					xs, err := RunXStream(vol, m.Name, bo)
 					check("xstream("+variant+")", xs, err)
 					baseline("xstream("+variant+")", key{"xstream", reorder}, xs)
 				}

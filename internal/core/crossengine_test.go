@@ -67,7 +67,7 @@ func TestAllEnginesAgreeProperty(t *testing.T) {
 		if !check(Run(vol, m.Name, fbOpts)) {
 			return false
 		}
-		if !check(xstream.Run(vol, m.Name, xstream.Options{
+		if !check(RunXStream(vol, m.Name, xstream.Options{
 			Root: root, MemoryBudget: budget, StreamBufSize: bufSize, Sim: mkSim(),
 		})) {
 			return false
@@ -186,7 +186,7 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 			base.Sim = xstream.DefaultSim()
-			xs, err := xstream.Run(vol, m.Name, base)
+			xs, err := RunXStream(vol, m.Name, base)
 			check("xstream", xs, err)
 			base.Sim = xstream.DefaultSim()
 			gc, err := graphchi.Run(vol, m.Name, base)
@@ -301,7 +301,7 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 				}
 				label := fmt.Sprintf("xstream(dir=%s,workers=%d)", d, w)
 				base.Sim = xstream.DefaultSim()
-				xs, err := xstream.Run(vol, m.Name, base)
+				xs, err := RunXStream(vol, m.Name, base)
 				check(label, xs, err)
 				if xsBase == nil {
 					xsBase = xs
@@ -348,7 +348,7 @@ func TestEnginesAgreeOnScaleFreeGraphs(t *testing.T) {
 			t.Fatalf("%s fastbfs: %v", m.Name, err)
 		}
 		base.Sim = xstream.DefaultSim()
-		xs, err := xstream.Run(vol, m.Name, base)
+		xs, err := RunXStream(vol, m.Name, base)
 		if err != nil {
 			t.Fatalf("%s xstream: %v", m.Name, err)
 		}

@@ -12,11 +12,13 @@ import (
 	"fastbfs/internal/xstream"
 )
 
-// This file ports the direction-optimizing (Beamer-style hybrid) BFS
-// into the FastBFS engine. The policy machinery — Direction, DirState,
-// the frontier bitmaps, the lazy reverse-edge split — is shared with
-// the X-Stream engine (internal/xstream/direction.go); what is specific
-// to FastBFS is how bottom-up passes compose with the trimming idea:
+// This file holds the direction-optimizing (Beamer-style hybrid) BFS of
+// the streaming loop — the only copy: the X-Stream baseline runs this
+// loop too (RunXStream). The policy scaffolding — Direction, DirState,
+// the frontier bitmaps — lives in internal/xstream/direction.go; what
+// this file adds is how bottom-up passes compose with the trimming idea
+// (with trimming off, as for X-Stream, later passes rescan the reverse
+// inputs the fused first pass split off):
 //
 //   - Each partition's reverse-edge input is trimmed the same way the
 //     forward input is: while a bottom-up pass scans partition p's
@@ -61,7 +63,8 @@ type dirRun struct {
 	// bottom-up pass, reported by the following iteration.
 	carryFrontier uint64
 	// revInput is each partition's current reverse-edge input — the
-	// lazy split's file first, then the chain of reverse stay files.
+	// file the fused first pass split off, then the chain of reverse
+	// stay files.
 	revInput  []string
 	revTiming []stream.Timing
 	// revBroken marks partitions whose reverse stay writes failed
@@ -130,9 +133,7 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 			revBroken: make([]bool, e.rt.Parts.P()),
 			revEdges:  make([]int64, e.rt.Parts.P()),
 		}
-		for p := range d.revInput {
-			d.revInput[p] = e.rt.RevEdgeFile(p)
-			d.revTiming[p] = e.mainTiming()
+		for p := range d.revEdges {
 			d.revEdges[p] = -1
 		}
 		e.dir = d

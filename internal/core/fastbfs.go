@@ -1,6 +1,6 @@
 // Package core implements FastBFS, the paper's primary contribution: an
-// edge-centric out-of-core BFS engine built by modifying X-Stream
-// (internal/xstream) with
+// edge-centric out-of-core BFS engine built by modifying X-Stream (whose
+// scaffolding is internal/xstream) with
 //
 //  1. asynchronous graph trimming — during every scatter, edges whose
 //     source vertex is already visited are eliminated; the surviving
@@ -28,6 +28,11 @@
 // generated an update" when the input is the immediately previous stay
 // list, and remains correct when a cancellation forces re-reading an
 // older input (see DESIGN.md).
+//
+// With trimming and selective scheduling both off the loop is
+// X-Stream's: RunXStream runs the baseline as that preset, so the
+// out-of-core scatter/gather loop and its direction-optimizing passes
+// exist once, for both engines.
 package core
 
 import (
@@ -147,6 +152,40 @@ func Run(vol storage.Volume, graphName string, opts Options) (*Result, error) {
 // wait, so a cancelled query abandons its scatter, discards pending stay
 // files and removes its working files instead of running to completion.
 func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts Options) (*Result, error) {
+	return runContext(ctx, vol, graphName, opts, EngineName)
+}
+
+// RunXStream runs the X-Stream baseline over the stored graph graphName
+// on vol.
+//
+// X-Stream is FastBFS with its two mechanisms left out (§I): every
+// iteration loads, gathers and scatters every partition, streaming the
+// full edge set — it "indiscriminately traverses the whole graph in every
+// iteration to exploit sequential disk bandwidth" (§IV-B1). So the
+// baseline is this package's loop with trimming, selective scheduling and
+// the residency cache off, its working files under the xstream_ prefix
+// and its metrics labelled "xstream".
+func RunXStream(vol storage.Volume, graphName string, opts xstream.Options) (*Result, error) {
+	return RunXStreamContext(context.Background(), vol, graphName, opts)
+}
+
+// RunXStreamContext is RunXStream with a cancellation context (see
+// RunContext).
+func RunXStreamContext(ctx context.Context, vol storage.Volume, graphName string, opts xstream.Options) (*Result, error) {
+	if opts.FilePrefix == "" {
+		opts.FilePrefix = xstream.EngineName
+	}
+	return runContext(ctx, vol, graphName, Options{
+		Base:                       opts,
+		DisableTrimming:            true,
+		DisableSelectiveScheduling: true,
+		ResidencyBudget:            ResidencyOff,
+	}, xstream.EngineName)
+}
+
+// runContext is RunContext for the engine called name, which labels the
+// metrics record and errors.
+func runContext(ctx context.Context, vol storage.Volume, graphName string, opts Options, name string) (*Result, error) {
 	opts.SetDefaults()
 	if err := resolveDirectionPolicy(&opts); err != nil {
 		return nil, err
@@ -161,15 +200,15 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 		return nil, err
 	}
 	if rt.Meta.Weighted {
-		return nil, fmt.Errorf("fastbfs: %w: BFS takes unweighted graphs; %s is weighted", errs.ErrBadOptions, graphName)
+		return nil, fmt.Errorf("%s: %w: BFS takes unweighted graphs; %s is weighted", name, errs.ErrBadOptions, graphName)
 	}
 	defer rt.Cleanup()
 	if rt.InMemory() && opts.CheckpointVol == nil {
 		// The in-memory fast path has no durable intermediate state to
 		// checkpoint; checkpointed runs always stream.
-		return runInMemory(rt, opts)
+		return runInMemory(rt, opts, name)
 	}
-	e := &engine{rt: rt, opts: opts}
+	e := &engine{rt: rt, opts: opts, name: name}
 	return e.run()
 }
 
@@ -220,6 +259,7 @@ type partState struct {
 type engine struct {
 	rt    *xstream.Runtime
 	opts  Options
+	name  string // the metrics label: EngineName or xstream.EngineName
 	sw    *stream.StayWriter
 	pool  *stream.ScatterPool
 	parts []partState
@@ -277,7 +317,7 @@ func (e *engine) otherTiming(t stream.Timing) stream.Timing {
 }
 
 func (e *engine) run() (*Result, error) {
-	run := metrics.Run{Engine: EngineName, SwitchIteration: -1}
+	run := metrics.Run{Engine: e.name, SwitchIteration: -1}
 	e.tr = e.rt.Tracer()
 	e.ctr = obs.NewEngineCounters(e.tr)
 	e.pool = e.rt.NewScatterPool(e.ctr)
@@ -1130,9 +1170,9 @@ func (e *engine) drainPending() {
 // (level below the next frontier's) are compacted away — NoLevel is the
 // maximum uint32, so "keep iff level[src] >= next frontier level" keeps
 // exactly the unvisited and just-discovered sources.
-func runInMemory(rt *xstream.Runtime, opts Options) (*Result, error) {
+func runInMemory(rt *xstream.Runtime, opts Options, name string) (*Result, error) {
 	if opts.DisableTrimming {
-		return xstream.RunInMemory(rt, EngineName, nil)
+		return xstream.RunInMemory(rt, name, nil)
 	}
 	next := uint32(0)
 	visited := uint64(1)
@@ -1160,5 +1200,5 @@ func runInMemory(rt *xstream.Runtime, opts Options) (*Result, error) {
 		}
 		return out
 	}
-	return xstream.RunInMemory(rt, EngineName, trim)
+	return xstream.RunInMemory(rt, name, trim)
 }

@@ -142,7 +142,7 @@ func TestFastBFSReadsLessThanXStream(t *testing.T) {
 	// otherwise per-file seeks dominate in a way they never did on the
 	// testbed.
 	xsOpts := xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.ScaledSim(512)}
-	xs, err := xstream.Run(vol, m.Name, xsOpts)
+	xs, err := RunXStream(vol, m.Name, xsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestFastBFSDisableTrimmingMatchesXStreamReads(t *testing.T) {
 	root := maxDegreeVertex(m, edges)
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
-	xs, err := xstream.Run(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 8192, Sim: xstream.DefaultSim()})
+	xs, err := RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 8192, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}

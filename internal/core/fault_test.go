@@ -316,7 +316,7 @@ func TestXStreamSurfacesWriteFailureToo(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := xstream.Run(vol, m.Name, xstream.Options{MemoryBudget: 4096, Sim: xstream.DefaultSim()})
+	_, err := RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 4096, Sim: xstream.DefaultSim()})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}

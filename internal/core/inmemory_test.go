@@ -70,7 +70,7 @@ func TestInMemoryDisableTrimmingMatchesXStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, err := xstream.Run(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
+	xs, err := RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}

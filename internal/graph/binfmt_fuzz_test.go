@@ -189,7 +189,7 @@ func FuzzReverseFormat(f *testing.F) {
 
 func FuzzWEdgeBytesRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0x80, 0x3f}) // 1 -> 2 weight 1.0
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0x80, 0x3f})       // 1 -> 2 weight 1.0
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // NaN payload
 	f.Fuzz(func(t *testing.T, b []byte) {
 		wedges, err := BytesToWEdges(b)

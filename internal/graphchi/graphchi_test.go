@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fastbfs/internal/bfs"
+	"fastbfs/internal/core"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
@@ -120,7 +121,7 @@ func TestGraphChiComputeHeavierThanXStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, err := xstream.Run(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.ScaledSim(512)})
+	xs, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.ScaledSim(512)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,19 +39,19 @@ type httpQuery struct {
 
 // httpResult is the JSON response body of POST /query.
 type httpResult struct {
-	Graph     string   `json:"graph"`
-	Algorithm string   `json:"algorithm"`
-	TraceID   string   `json:"trace_id"`
-	Visited   uint64   `json:"visited"`
-	Cached    bool     `json:"cached"`
-	Batched   bool     `json:"batched,omitempty"`
+	Graph     string `json:"graph"`
+	Algorithm string `json:"algorithm"`
+	TraceID   string `json:"trace_id"`
+	Visited   uint64 `json:"visited"`
+	Cached    bool   `json:"cached"`
+	Batched   bool   `json:"batched,omitempty"`
 	// Stale marks a degraded-mode answer served from an expired cache
 	// entry (the query set allow_stale and the service was overloaded or
 	// the breaker open).
-	Stale bool `json:"stale,omitempty"`
-	ExecTime  float64  `json:"exec_time,omitempty"`
-	Levels    []uint32 `json:"levels,omitempty"`
-	Parents   []uint32 `json:"parents,omitempty"`
+	Stale    bool     `json:"stale,omitempty"`
+	ExecTime float64  `json:"exec_time,omitempty"`
+	Levels   []uint32 `json:"levels,omitempty"`
+	Parents  []uint32 `json:"parents,omitempty"`
 	// Distances uses -1 for unreached vertices: the engine's +Inf
 	// sentinel is not representable in JSON.
 	Distances []float32 `json:"distances,omitempty"`

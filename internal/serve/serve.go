@@ -47,7 +47,6 @@ import (
 	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
-	"fastbfs/internal/xstream"
 )
 
 // Engine selects which BFS engine executes a query.
@@ -100,7 +99,7 @@ func RunEngine(ctx context.Context, engine Engine, vol storage.Volume, graphName
 	case EngineFastBFS:
 		return core.RunContext(ctx, vol, graphName, opts)
 	case EngineXStream:
-		return xstream.RunContext(ctx, vol, graphName, opts.Base)
+		return core.RunXStreamContext(ctx, vol, graphName, opts.Base)
 	case EngineGraphChi:
 		return graphchi.RunContext(ctx, vol, graphName, opts.Base)
 	}

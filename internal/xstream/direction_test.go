@@ -1,37 +1,39 @@
-package xstream
+package xstream_test
 
 import (
 	"bytes"
 	"errors"
 	"testing"
 
+	"fastbfs/internal/core"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/xstream"
 )
 
 func TestParseDirection(t *testing.T) {
-	for s, want := range map[string]Direction{
-		"": DirectionTopDown, "topdown": DirectionTopDown,
-		"bottomup": DirectionBottomUp, "auto": DirectionAuto,
+	for s, want := range map[string]xstream.Direction{
+		"": xstream.DirectionTopDown, "topdown": xstream.DirectionTopDown,
+		"bottomup": xstream.DirectionBottomUp, "auto": xstream.DirectionAuto,
 	} {
-		got, err := ParseDirection(s)
+		got, err := xstream.ParseDirection(s)
 		if err != nil || got != want {
 			t.Errorf("ParseDirection(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
 	for _, s := range []string{"up", "down", "Auto", "hybrid"} {
-		if _, err := ParseDirection(s); !errors.Is(err, errs.ErrBadOptions) {
+		if _, err := xstream.ParseDirection(s); !errors.Is(err, errs.ErrBadOptions) {
 			t.Errorf("ParseDirection(%q) = %v, want ErrBadOptions", s, err)
 		}
 	}
 }
 
 func TestDirStateHeuristic(t *testing.T) {
-	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000},
-		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
-	ds := NewDirState(rt, DirectionAuto)
+	rt := &xstream.Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000},
+		Opts: xstream.Options{DirectionAlpha: xstream.DefaultDirectionAlpha, DirectionBeta: xstream.DefaultDirectionBeta}}
+	ds := xstream.NewDirState(rt, xstream.DirectionAuto)
 	if ds.Decide(0) {
 		t.Fatal("iteration 0 must be top-down")
 	}
@@ -73,10 +75,10 @@ func TestDirStateHeuristic(t *testing.T) {
 }
 
 func TestDirStateForcedModes(t *testing.T) {
-	rt := &Runtime{Meta: graph.Meta{Vertices: 100, Edges: 500},
-		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
-	td := NewDirState(rt, DirectionTopDown)
-	bu := NewDirState(rt, DirectionBottomUp)
+	rt := &xstream.Runtime{Meta: graph.Meta{Vertices: 100, Edges: 500},
+		Opts: xstream.Options{DirectionAlpha: xstream.DefaultDirectionAlpha, DirectionBeta: xstream.DefaultDirectionBeta}}
+	td := xstream.NewDirState(rt, xstream.DirectionTopDown)
+	bu := xstream.NewDirState(rt, xstream.DirectionBottomUp)
 	for iter := 0; iter < 5; iter++ {
 		if td.Decide(iter) {
 			t.Fatalf("forced topdown went bottom-up at %d", iter)
@@ -90,19 +92,19 @@ func TestDirStateForcedModes(t *testing.T) {
 }
 
 // runDir runs xstream on the stored graph with the given direction.
-func runDir(t *testing.T, vol storage.Volume, name string, root graph.VertexID, d Direction) *Result {
+func runDir(t *testing.T, vol storage.Volume, name string, root graph.VertexID, d xstream.Direction) *xstream.Result {
 	t.Helper()
 	o := smallOpts()
 	o.Root = root
 	o.Direction = d
-	res, err := Run(vol, name, o)
+	res, err := core.RunXStream(vol, name, o)
 	if err != nil {
 		t.Fatalf("direction %s: %v", d, err)
 	}
 	return res
 }
 
-func sameTree(t *testing.T, a, b *Result, label string) {
+func sameTree(t *testing.T, a, b *xstream.Result, label string) {
 	t.Helper()
 	for i := range a.Levels {
 		if a.Levels[i] != b.Levels[i] || a.Parents[i] != b.Parents[i] {
@@ -125,9 +127,9 @@ func TestXStreamDirectionsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := maxDegreeVertex(m, edges)
-	td := runDir(t, vol, m.Name, root, DirectionTopDown)
-	bu := runDir(t, vol, m.Name, root, DirectionBottomUp)
-	au := runDir(t, vol, m.Name, root, DirectionAuto)
+	td := runDir(t, vol, m.Name, root, xstream.DirectionTopDown)
+	bu := runDir(t, vol, m.Name, root, xstream.DirectionBottomUp)
+	au := runDir(t, vol, m.Name, root, xstream.DirectionAuto)
 	sameTree(t, td, bu, "bottomup vs topdown")
 	sameTree(t, td, au, "auto vs topdown")
 	if td.Metrics.BottomUpIterations != 0 || td.Metrics.SwitchIteration != -1 {
@@ -151,9 +153,9 @@ func TestXStreamAutoFallsBackWithoutReverse(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	td := runDir(t, vol, m.Name, 0, DirectionTopDown)
+	td := runDir(t, vol, m.Name, 0, xstream.DirectionTopDown)
 	vol.Remove(graph.ReverseFileName(m.Name)) // a graph stored before .rev existed
-	au := runDir(t, vol, m.Name, 0, DirectionAuto)
+	au := runDir(t, vol, m.Name, 0, xstream.DirectionAuto)
 	sameTree(t, td, au, "auto-fallback vs topdown")
 	if !au.Metrics.DirectionFallback {
 		t.Fatal("fallback not reported in metrics")
@@ -162,8 +164,8 @@ func TestXStreamAutoFallsBackWithoutReverse(t *testing.T) {
 		t.Fatal("fallback run still went bottom-up")
 	}
 	o := smallOpts()
-	o.Direction = DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
+	o.Direction = xstream.DirectionBottomUp
+	if _, err := core.RunXStream(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
 		t.Fatalf("explicit bottomup without .rev: err = %v, want ErrBadOptions", err)
 	}
 }
@@ -175,7 +177,9 @@ func TestXStreamCorruptReverseSurfacesErrCorrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload byte in the framed reverse file: the CRC must
-	// catch it during the lazy reverse split, never wrong output.
+	// catch it during the fused first bottom-up pass, which splits the
+	// reverse file while it finds that level's parents — never wrong
+	// output.
 	name := graph.ReverseFileName(m.Name)
 	b, err := storage.ReadAll(vol, name)
 	if err != nil {
@@ -187,8 +191,8 @@ func TestXStreamCorruptReverseSurfacesErrCorrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := smallOpts()
-	o.Direction = DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
+	o.Direction = xstream.DirectionBottomUp
+	if _, err := core.RunXStream(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("corrupt .rev: err = %v, want ErrCorrupted", err)
 	}
 }

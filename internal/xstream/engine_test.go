@@ -1,24 +1,26 @@
-package xstream
+package xstream_test
 
 import (
 	"testing"
 
 	"fastbfs/internal/bfs"
+	"fastbfs/internal/core"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/xstream"
 )
 
 // checkAgainstReference runs the engine and the in-memory reference BFS
 // and verifies levels match and the tree validates.
-func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root graph.VertexID, opts Options) *Result {
+func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root graph.VertexID, opts xstream.Options) *xstream.Result {
 	t.Helper()
 	vol := storage.NewMem()
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
 	opts.Root = root
-	res, err := Run(vol, m.Name, opts)
+	res, err := core.RunXStream(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +39,11 @@ func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root 
 }
 
 // smallOpts forces out-of-core operation with several partitions.
-func smallOpts() Options {
-	return Options{
+func smallOpts() xstream.Options {
+	return xstream.Options{
 		MemoryBudget:  4096, // tiny: many partitions, never in-memory
 		StreamBufSize: 512,
-		Sim:           DefaultSim(),
+		Sim:           xstream.DefaultSim(),
 	}
 }
 
@@ -116,7 +118,7 @@ func TestXStreamRereadsWholeGraphEveryIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := smallOpts()
-	res, err := Run(vol, m.Name, opts)
+	res, err := core.RunXStream(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +131,9 @@ func TestXStreamRereadsWholeGraphEveryIteration(t *testing.T) {
 
 func TestXStreamInMemoryFastPath(t *testing.T) {
 	m, edges, _ := gen.BinaryTree(1000)
-	opts := Options{
+	opts := xstream.Options{
 		MemoryBudget: 1 << 30, // everything fits
-		Sim:          DefaultSim(),
+		Sim:          xstream.DefaultSim(),
 	}
 	res := checkAgainstReference(t, m, edges, 0, opts)
 	// In-memory mode: the dataset is read exactly once.
@@ -153,11 +155,11 @@ func TestXStreamInMemoryMuchFasterThanStreaming(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(vol, m.Name, Options{Root: root, MemoryBudget: 16 << 10, Sim: DefaultSim()})
+	slow, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 16 << 10, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(vol, m.Name, Options{Root: root, MemoryBudget: 1 << 30, Sim: DefaultSim()})
+	fast, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestXStreamWallClockMode(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(vol, m.Name, Options{MemoryBudget: 2048, StreamBufSize: 256})
+	res, err := core.RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 2048, StreamBufSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestXStreamCleansUpWorkingFiles(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(vol, m.Name, Options{MemoryBudget: 1024, Sim: DefaultSim()}); err != nil {
+	if _, err := core.RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 1024, Sim: xstream.DefaultSim()}); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range vol.List() {
@@ -207,7 +209,7 @@ func TestXStreamKeepFiles(t *testing.T) {
 	m, edges, _ := gen.BinaryTree(50)
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
-	if _, err := Run(vol, m.Name, Options{MemoryBudget: 1024, Sim: DefaultSim(), KeepFiles: true}); err != nil {
+	if _, err := core.RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 1024, Sim: xstream.DefaultSim(), KeepFiles: true}); err != nil {
 		t.Fatal(err)
 	}
 	if len(vol.List()) <= 2 {
@@ -217,12 +219,12 @@ func TestXStreamKeepFiles(t *testing.T) {
 
 func TestXStreamErrors(t *testing.T) {
 	vol := storage.NewMem()
-	if _, err := Run(vol, "absent", Options{Sim: DefaultSim()}); err == nil {
+	if _, err := core.RunXStream(vol, "absent", xstream.Options{Sim: xstream.DefaultSim()}); err == nil {
 		t.Error("missing graph accepted")
 	}
 	m, edges, _ := gen.Path(5)
 	graph.Store(vol, m, edges)
-	if _, err := Run(vol, m.Name, Options{Root: 5, Sim: DefaultSim()}); err == nil {
+	if _, err := core.RunXStream(vol, m.Name, xstream.Options{Root: 5, Sim: xstream.DefaultSim()}); err == nil {
 		t.Error("out-of-range root accepted")
 	}
 }
@@ -231,10 +233,10 @@ func TestRuntimeInMemoryThreshold(t *testing.T) {
 	vol := storage.NewMem()
 	m, edges, _ := gen.Path(100) // 99 edges = 792 bytes
 	graph.Store(vol, m, edges)
-	opts := Options{MemoryBudget: 100}
-	opts.SetDefaults(EngineName)
+	opts := xstream.Options{MemoryBudget: 100}
+	opts.SetDefaults(xstream.EngineName)
 	opts.MemoryBudget = 100
-	rt, err := NewRuntime(vol, m.Name, opts)
+	rt, err := xstream.NewRuntime(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestRuntimeInMemoryThreshold(t *testing.T) {
 		t.Error("100-byte budget reported in-memory")
 	}
 	opts.MemoryBudget = 1 << 20
-	rt, err = NewRuntime(vol, m.Name, opts)
+	rt, err = xstream.NewRuntime(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestMoreThreadsDoNotHelpIOBoundRun(t *testing.T) {
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
 	run := func(threads int) float64 {
-		res, err := Run(vol, m.Name, Options{Root: root, MemoryBudget: 32 << 10, Threads: threads, Sim: DefaultSim()})
+		res, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 32 << 10, Threads: threads, Sim: xstream.DefaultSim()})
 		if err != nil {
 			t.Fatal(err)
 		}

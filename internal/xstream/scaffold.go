@@ -1,6 +1,6 @@
-// Package xstream is a from-scratch implementation of the X-Stream
-// edge-centric graph engine (Roy et al., SOSP'13) specialized to BFS —
-// the system the FastBFS paper modifies and its primary baseline.
+// Package xstream holds the scaffolding of the X-Stream edge-centric
+// graph engine (Roy et al., SOSP'13) specialized to BFS — the system the
+// FastBFS paper modifies and its primary baseline.
 //
 // X-Stream partitions the vertex set into balanced intervals, stores
 // each partition's out-edges in its own streaming file, and runs
@@ -10,10 +10,14 @@
 // needed" — and re-streams the *entire* edge set every iteration, which
 // is exactly the indiscriminate I/O FastBFS trims away.
 //
-// This package also exports the scaffolding FastBFS shares with
-// X-Stream (options, the per-partition vertex store, and the initial
-// streaming-partition split), since the paper builds FastBFS by
-// modifying X-Stream.
+// The paper builds FastBFS by modifying X-Stream, so the out-of-core
+// scatter/gather loop exists once, in internal/core: the X-Stream
+// baseline is that loop with trimming and selective scheduling off
+// (core.RunXStream). This package keeps what the loop, GraphChi and the
+// in-memory fast path share: options, the run's runtime (partitioning,
+// clock, byte accounting, working-file names, the initial
+// streaming-partition split), the per-partition vertex store, the
+// direction scaffolding and RunInMemory.
 package xstream
 
 import (
@@ -316,18 +320,12 @@ type Runtime struct {
 
 	// VisitedBits mirrors the vertex files' visited state in RAM
 	// (vertices/8 bytes, outside the modelled budget like OutDeg),
-	// maintained only when the run may go bottom-up. The lazy
-	// reverse-edge split consults it to drop in-edges of vertices that
-	// are already visited at split time — they can never yield a
-	// bottom-up candidate, and dropping them is what makes bottom-up
-	// iterations read fewer bytes than a full edge scan.
+	// maintained only when the run may go bottom-up. Bottom-up passes
+	// consult it to drop in-edges of vertices that are already visited
+	// — they can never yield a bottom-up candidate, and dropping them is
+	// what makes bottom-up iterations read fewer bytes than a full edge
+	// scan.
 	VisitedBits *Bitset
-
-	// revReady flags that PrepareReverse has split the dataset's
-	// reverse-edge file into per-partition streams; the split is lazy —
-	// paid only at the first top-down→bottom-up transition, so an auto
-	// run that never switches moves exactly the top-down byte count.
-	revReady bool
 }
 
 // Tracer returns the run's tracer (nil when tracing is disabled; all
