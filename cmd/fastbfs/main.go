@@ -12,13 +12,13 @@
 //	        [-checkpoint CKDIR] [-resume]
 //	        [-report] [-validate] [-quiet]
 //	        [-tracefile trace.jsonl] [-debugaddr localhost:6060]
-//	fastbfs -dir DATA -graph rmat20 -config run.conf
+//	fastbfs -dir DATA -graph rmat20 -config run.conf [flags overriding its keys]
 //
-// A -config file carries the paper's runtime settings (engine, budgets,
-// trim policy, additional disk location) in the same key=value format as
-// the dataset configuration; command-line flags are ignored when it is
-// given, except -report, -validate, -checkpoint, -resume and the
-// observability flags.
+// Settings resolve once, in internal/runconfig: a flag set on the
+// command line beats the -config file (the paper's runtime settings in
+// the dataset configuration's key=value format), which beats the
+// FASTBFS_* environment, which beats the built-in defaults. Setting
+// FASTBFS_FAULTS wraps the dataset volume in seeded fault injection.
 //
 // Fault tolerance: -checkpoint names a directory where the FastBFS
 // engine persists a crash-consistent manifest after every completed
@@ -47,8 +47,6 @@ import (
 	"sync"
 
 	"fastbfs/internal/bfs"
-	"fastbfs/internal/core"
-	"fastbfs/internal/disksim"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/obs"
@@ -59,28 +57,31 @@ import (
 )
 
 func main() {
+	d := runconfig.Default()
 	dir := flag.String("dir", ".", "directory holding the stored graph")
 	name := flag.String("graph", "", "dataset name (required)")
-	engine := flag.String("engine", "fastbfs", "engine: fastbfs, xstream or graphchi")
-	root := flag.Uint64("root", 0, "BFS root vertex")
-	mem := flag.Uint64("mem", 1<<30, "working memory budget in bytes")
-	threads := flag.Int("threads", 4, "compute threads")
-	workers := flag.Int("workers", 0, "scatter worker goroutines (0 = FASTBFS_WORKERS env or NumCPU; results are identical for any count)")
-	sim := flag.Bool("sim", false, "use the simulated testbed instead of wall-clock time")
-	simScale := flag.Float64("simscale", 1, "scale down the simulated positioning cost by this factor")
-	ssd := flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
-	twoDisks := flag.Bool("twodisks", false, "simulate a second disk for update/stay streams")
-	trimStart := flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration")
-	direction := flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = FASTBFS_DIRECTION env, else topdown)")
-	codec := flag.String("codec", "", "working-file codec: fixed or delta (empty = FASTBFS_CODEC env, else the dataset's stored codec)")
-	residency := flag.String("residency-budget", "", "fastbfs: resident-partition cache budget (bytes with K/M/G suffix, 0/off, or unbounded; empty = FASTBFS_RESIDENCY env)")
-	noTrim := flag.Bool("notrim", false, "fastbfs: disable trimming")
-	noSelSched := flag.Bool("noselsched", false, "fastbfs: disable selective scheduling")
+	// Flags carrying a settings key are left unbound: runconfig.Resolve
+	// reads back the ones given on the command line.
+	flag.String("engine", d.Engine, "engine: fastbfs, xstream or graphchi")
+	flag.Uint64("root", 0, "BFS root vertex")
+	flag.Uint64("mem", d.MemoryBudget, "working memory budget in bytes")
+	flag.Int("threads", d.Threads, "compute threads")
+	flag.Int("workers", 0, "scatter worker goroutines (0 = NumCPU; results are identical for any count)")
+	flag.Bool("sim", false, "use the simulated testbed instead of wall-clock time")
+	flag.Float64("simscale", d.SeekScale, "scale down the simulated positioning cost by this factor")
+	flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
+	flag.Bool("twodisks", false, "simulate a second disk for update/stay streams")
+	flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration")
+	flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = topdown)")
+	flag.String("codec", "", "working-file codec: fixed or delta (empty = the dataset's stored codec)")
+	flag.String("residency-budget", "", "fastbfs: resident-partition cache budget (bytes with K/M/G suffix, 0/off, or unbounded; empty = off)")
+	flag.Bool("notrim", false, "fastbfs: disable trimming")
+	flag.Bool("noselsched", false, "fastbfs: disable selective scheduling")
 	checkpoint := flag.String("checkpoint", "", "fastbfs: persist a crash-consistent checkpoint manifest to this directory after every iteration")
 	resume := flag.Bool("resume", false, "fastbfs: resume from the -checkpoint directory's manifest (fresh run when there is none)")
 	report := flag.Bool("report", false, "print the full per-iteration report")
 	validate := flag.Bool("validate", false, "validate the BFS tree against the edge list (loads it in memory)")
-	configPath := flag.String("config", "", "runtime-settings file (overrides the other flags)")
+	configPath := flag.String("config", "", "runtime-settings file (flags set on the command line override its keys)")
 	traceFile := flag.String("tracefile", "", "write a JSONL span/counter trace to this file (see cmd/tracecat)")
 	debugAddr := flag.String("debugaddr", "", "serve pprof, expvar counters and a progress page on this address (e.g. localhost:6060)")
 	quiet := flag.Bool("quiet", false, "suppress per-iteration progress lines on stderr")
@@ -89,6 +90,14 @@ func main() {
 	if *name == "" {
 		fmt.Fprintln(os.Stderr, "fastbfs: -graph is required")
 		os.Exit(2)
+	}
+	cfg, err := runconfig.Resolve(flag.CommandLine, *configPath)
+	if err != nil {
+		fail(err)
+	}
+	eng, err := serve.ParseEngine(cfg.Engine)
+	if err != nil {
+		fail(err)
 	}
 	osVol, err := storage.NewOS(*dir)
 	if err != nil {
@@ -100,83 +109,29 @@ func main() {
 		fail(err)
 	}
 	defer ob.close()
+	runVol, err := runconfig.FaultVolume(vol)
+	if err != nil {
+		fail(err)
+	}
 
 	ckVol, err := checkpointVolume(*checkpoint, *resume)
 	if err != nil {
 		fail(err)
 	}
 
-	if *configPath != "" {
-		runFromConfig(vol, *name, *configPath, *report, *validate, ob, ckVol, *resume)
-		return
-	}
-	opts := xstream.Options{
-		Root:           graph.VertexID(*root),
-		MemoryBudget:   *mem,
-		Threads:        *threads,
-		ScatterWorkers: *workers,
-		Tracer:         ob.tracer,
-	}
-	// An empty -direction leaves the option unset so the engine's
-	// defaulting (FASTBFS_DIRECTION, else topdown) applies.
-	if *direction != "" {
-		d, err := xstream.ParseDirection(*direction)
-		if err != nil {
-			fail(err)
-		}
-		opts.Direction = d
-	}
-	// Same treatment for -codec: empty keeps the engine's FASTBFS_CODEC /
-	// stored-codec defaulting.
-	if *codec != "" {
-		c, err := graph.ParseCodec(*codec)
-		if err != nil {
-			fail(err)
-		}
-		opts.Codec = c
-	}
-	if *sim {
-		cfg := &xstream.SimConfig{CPU: disksim.DefaultCPU(), Costs: disksim.DefaultCosts()}
-		if *ssd {
-			cfg.MainDisk = disksim.SSDScaled("ssd0", *simScale)
-		} else {
-			cfg.MainDisk = disksim.HDDScaled("hdd0", *simScale)
-		}
-		if *twoDisks {
-			if *ssd {
-				cfg.AuxDisk = disksim.SSDScaled("ssd1", *simScale)
-			} else {
-				cfg.AuxDisk = disksim.HDDScaled("hdd1", *simScale)
-			}
-		}
-		opts.Sim = cfg
-	}
-	ob.noteRun(*engine, *name, *sim)
-
-	eng, err := serve.ParseEngine(*engine)
-	if err != nil {
-		fail(err)
-	}
-	budget, err := core.ParseResidencyBudget(*residency)
-	if err != nil {
-		fail(err)
-	}
-	res, err := serve.RunEngine(context.Background(), eng, vol, *name, core.Options{
-		Base:                       opts,
-		TrimStartIteration:         *trimStart,
-		DisableTrimming:            *noTrim,
-		DisableSelectiveScheduling: *noSelSched,
-		ResidencyBudget:            budget,
-		CheckpointVol:              ckVol,
-		Resume:                     *resume,
-	})
+	ob.noteRun(cfg.Engine, *name, cfg.Sim)
+	opts := cfg.CoreOptions()
+	opts.Base.Tracer = ob.tracer
+	opts.CheckpointVol = ckVol
+	opts.Resume = *resume
+	res, err := serve.RunEngine(context.Background(), eng, runVol, *name, opts)
 	if err != nil {
 		fail(err)
 	}
 
 	printResult(res, *report)
 	if *validate {
-		validateResult(vol, *name, graph.VertexID(*root), res)
+		validateResult(vol, *name, cfg.Root, res)
 	}
 }
 
@@ -191,36 +146,6 @@ func checkpointVolume(dir string, resume bool) (storage.Volume, error) {
 		return nil, nil
 	}
 	return storage.NewOS(dir)
-}
-
-// runFromConfig executes a run described by a runtime-settings file.
-func runFromConfig(vol storage.Volume, name, path string, report, validate bool, ob *observability, ckVol storage.Volume, resume bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	cfg, err := runconfig.Parse(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
-	ob.noteRun(cfg.Engine, name, cfg.Sim)
-	eng, err := serve.ParseEngine(cfg.Engine)
-	if err != nil {
-		fail(err)
-	}
-	co := cfg.CoreOptions()
-	co.Base.Tracer = ob.tracer
-	co.CheckpointVol = ckVol
-	co.Resume = resume
-	res, err := serve.RunEngine(context.Background(), eng, vol, name, co)
-	if err != nil {
-		fail(err)
-	}
-	printResult(res, report)
-	if validate {
-		validateResult(vol, name, cfg.Root, res)
-	}
 }
 
 func printResult(res *xstream.Result, report bool) {

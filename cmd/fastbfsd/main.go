@@ -20,26 +20,25 @@
 // Cross-query batching (DESIGN.md §13) is on by default: concurrent
 // uncapped BFS queries coalesce into shared bit-parallel runs of up to
 // -batch-size distinct roots, held at most -batch-wait for companions.
-// -batch-size 0 disables it. The flags default from the
-// FASTBFS_BATCH_SIZE and FASTBFS_BATCH_WAIT environment variables when
-// set. -config loads a runtime-settings file (internal/runconfig) in
-// place of the engine flags (-mem, -threads, -workers, -sim, -simscale,
-// -ssd, -residency-budget); its batch_size/batch_wait_ms keys supply
-// batch defaults that explicit -batch-size/-batch-wait flags override.
+// -batch-size 0 disables it.
 //
 // Overload resilience (DESIGN.md §15): -shed turns on deadline-aware
 // admission and CoDel-style queue aging (shed queries get 429 +
-// Retry-After; default from FASTBFS_SHED), -breaker-threshold tunes the
-// per-graph circuit breaker (0 disables; default from
-// FASTBFS_BREAKER_THRESHOLD), -cache-ttl bounds result-cache freshness
-// (expired entries still answer allow_stale queries in degraded mode),
-// -priority-header names the header carrying the admission class
-// (FASTBFS_PRIORITY_HEADER), and -panic-root poisons one root with a
-// mid-scatter panic (FASTBFS_PANIC_ROOT) — the chaos hook CI uses to
-// prove panic isolation. The runconfig keys shed, shed_target_ms,
-// shed_interval_ms, breaker_threshold, breaker_backoff_ms,
-// breaker_max_backoff_ms, cache_ttl_ms and priority_header supply
-// defaults that explicit flags override (flag > config > env).
+// Retry-After), -breaker-threshold tunes the per-graph circuit breaker
+// (0 disables), -cache-ttl bounds result-cache freshness (expired
+// entries still answer allow_stale queries in degraded mode),
+// -priority-header names the header carrying the admission class, and
+// -panic-root poisons one root with a mid-scatter panic — the chaos
+// hook CI uses to prove panic isolation.
+//
+// Settings resolve once, in internal/runconfig, for engine and daemon
+// keys alike: a flag set on the command line beats the -config file,
+// which beats the FASTBFS_* environment (FASTBFS_BATCH_SIZE,
+// FASTBFS_BATCH_WAIT=2ms, FASTBFS_SHED, ... — README lists them), which
+// beats the built-in defaults. A malformed variable is a start-up
+// error. -panic-root, which has no settings key, defaults from
+// FASTBFS_PANIC_ROOT. Setting FASTBFS_FAULTS wraps the daemon's volume
+// in seeded fault injection, shared by every query.
 //
 // Endpoints:
 //
@@ -85,91 +84,51 @@ import (
 	"syscall"
 	"time"
 
-	"fastbfs/internal/algo"
-	"fastbfs/internal/core"
-	"fastbfs/internal/disksim"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/runconfig"
 	"fastbfs/internal/serve"
 	"fastbfs/internal/storage"
-	"fastbfs/internal/xstream"
 )
 
-// envInt and envDuration supply flag defaults from the environment, so
-// deployments can set FASTBFS_BATCH_SIZE / FASTBFS_BATCH_WAIT without
-// editing unit files; a malformed value falls back to the built-in.
-func envInt(name string, def int) int {
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-func envDuration(name string, def time.Duration) time.Duration {
-	if v := os.Getenv(name); v != "" {
-		if d, err := time.ParseDuration(v); err == nil {
-			return d
-		}
-	}
-	return def
-}
-
-func envBool(name string, def bool) bool {
-	if v := os.Getenv(name); v != "" {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
-		}
-	}
-	return def
-}
-
-func envString(name, def string) string {
-	if v := os.Getenv(name); v != "" {
-		return v
-	}
-	return def
-}
-
 func main() {
+	d := runconfig.Default()
 	addr := flag.String("addr", "localhost:8090", "address to serve the query API on")
 	dir := flag.String("dir", ".", "directory holding the stored graph")
 	name := flag.String("graph", "", "dataset name (required)")
-	mem := flag.Uint64("mem", 1<<30, "per-query working memory budget in bytes")
-	threads := flag.Int("threads", 4, "compute threads per query")
-	workers := flag.Int("workers", 0, "scatter worker goroutines per query (0 = FASTBFS_WORKERS env or NumCPU)")
-	sim := flag.Bool("sim", false, "run queries against the simulated testbed (per-query device clones)")
-	simScale := flag.Float64("simscale", 1, "scale down the simulated positioning cost by this factor")
-	ssd := flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
-	residency := flag.String("residency-budget", "", "fastbfs: resident-partition cache budget per query (bytes with K/M/G suffix, 0/off, or unbounded)")
+	// Flags carrying a settings key are left unbound: runconfig.Resolve
+	// reads back the ones given on the command line.
+	flag.Uint64("mem", d.MemoryBudget, "per-query working memory budget in bytes")
+	flag.Int("threads", d.Threads, "compute threads per query")
+	flag.Int("workers", 0, "scatter worker goroutines per query (0 = NumCPU)")
+	flag.Bool("sim", false, "run queries against the simulated testbed (per-query device clones)")
+	flag.Float64("simscale", d.SeekScale, "scale down the simulated positioning cost by this factor")
+	flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
+	flag.String("residency-budget", "", "fastbfs: resident-partition cache budget per query (bytes with K/M/G suffix, 0/off, or unbounded; empty = off)")
 	maxInFlight := flag.Int("max-inflight", 4, "queries executing concurrently")
 	maxQueue := flag.Int("max-queue", 0, "queries allowed to wait for a slot (0 = 2*max-inflight; negative = reject immediately when busy)")
 	cacheEntries := flag.Int("cache", 64, "result-cache entries (negative disables)")
-	batchSize := flag.Int("batch-size", envInt("FASTBFS_BATCH_SIZE", algo.MaxBatchRoots),
-		"distinct roots coalesced per shared BFS run (0 disables batching; max 32)")
-	batchWait := flag.Duration("batch-wait", envDuration("FASTBFS_BATCH_WAIT", 2*time.Millisecond),
-		"how long a forming batch waits for companion queries")
-	shed := flag.Bool("shed", envBool("FASTBFS_SHED", false),
-		"enable deadline-aware admission and CoDel-style queue shedding (429 + Retry-After)")
-	shedTarget := flag.Duration("shed-target", envDuration("FASTBFS_SHED_TARGET", 25*time.Millisecond),
-		"acceptable queue wait before aging sheds begin")
-	shedInterval := flag.Duration("shed-interval", envDuration("FASTBFS_SHED_INTERVAL", 100*time.Millisecond),
-		"how long queue wait must stay above -shed-target before shedding")
-	breakerThreshold := flag.Int("breaker-threshold", envInt("FASTBFS_BREAKER_THRESHOLD", 5),
-		"consecutive I/O failures tripping the circuit breaker (0 disables)")
-	breakerBackoff := flag.Duration("breaker-backoff", envDuration("FASTBFS_BREAKER_BACKOFF", 500*time.Millisecond),
-		"circuit breaker's initial open interval before the half-open probe")
-	breakerMaxBackoff := flag.Duration("breaker-max-backoff", envDuration("FASTBFS_BREAKER_MAX_BACKOFF", 8*time.Second),
-		"cap on the breaker's doubled backoff after failed probes")
-	cacheTTL := flag.Duration("cache-ttl", envDuration("FASTBFS_CACHE_TTL", 0),
-		"result-cache freshness bound (0 = never expire; expired entries still serve allow_stale)")
-	priorityHeader := flag.String("priority-header", envString("FASTBFS_PRIORITY_HEADER", "X-Fastbfs-Priority"),
-		"HTTP header carrying the admission class (interactive/batch)")
-	panicRoot := flag.Int64("panic-root", int64(envInt("FASTBFS_PANIC_ROOT", 0)),
-		"chaos: panic mid-scatter for queries on this root (0 disables)")
-	configPath := flag.String("config", "", "runtime-settings file supplying the engine options (replaces -mem/-threads/-workers/-sim/-simscale/-ssd/-residency-budget)")
+	flag.Int("batch-size", d.BatchSize, "distinct roots coalesced per shared BFS run (0 disables batching; max 32)")
+	flag.Duration("batch-wait", d.BatchWait, "how long a forming batch waits for companion queries")
+	flag.Bool("shed", d.Shed, "enable deadline-aware admission and CoDel-style queue shedding (429 + Retry-After)")
+	flag.Duration("shed-target", d.ShedTarget, "acceptable queue wait before aging sheds begin")
+	flag.Duration("shed-interval", d.ShedInterval, "how long queue wait must stay above -shed-target before shedding")
+	flag.Int("breaker-threshold", d.BreakerThreshold, "consecutive I/O failures tripping the circuit breaker (0 disables)")
+	flag.Duration("breaker-backoff", d.BreakerBackoff, "circuit breaker's initial open interval before the half-open probe")
+	flag.Duration("breaker-max-backoff", d.BreakerMaxBackoff, "cap on the breaker's doubled backoff after failed probes")
+	flag.Duration("cache-ttl", d.CacheTTL, "result-cache freshness bound (0 = never expire; expired entries still serve allow_stale)")
+	flag.String("priority-header", d.PriorityHeader, "HTTP header carrying the admission class (interactive/batch)")
+	// -panic-root has no settings key: its only layers are the flag and
+	// FASTBFS_PANIC_ROOT, which supplies the flag's default.
+	var poisoned int64
+	if v := os.Getenv("FASTBFS_PANIC_ROOT"); v != "" {
+		var err error
+		if poisoned, err = strconv.ParseInt(v, 10, 64); err != nil {
+			fail(fmt.Errorf("FASTBFS_PANIC_ROOT: %w", err))
+		}
+	}
+	panicRoot := flag.Int64("panic-root", poisoned, "chaos: panic mid-scatter for queries on this root (0 disables)")
+	configPath := flag.String("config", "", "runtime-settings file (flags set on the command line override its keys)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
 	debugAddr := flag.String("debugaddr", "", "serve pprof, expvar counters and a stats page on this address")
 	traceFile := flag.String("tracefile", "", "append JSONL trace events (serve_query spans, drain telemetry) to this file")
@@ -180,77 +139,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fastbfsd: -graph is required")
 		os.Exit(2)
 	}
-	vol, err := storage.NewOS(*dir)
+	rc, err := runconfig.Resolve(flag.CommandLine, *configPath)
 	if err != nil {
 		fail(err)
 	}
-	budget, err := core.ParseResidencyBudget(*residency)
+	osVol, err := storage.NewOS(*dir)
 	if err != nil {
 		fail(err)
 	}
-
-	base := core.Options{
-		Base: xstream.Options{
-			MemoryBudget:   *mem,
-			Threads:        *threads,
-			ScatterWorkers: *workers,
-		},
-		ResidencyBudget: budget,
-	}
-	if *sim {
-		cfg := &xstream.SimConfig{CPU: disksim.DefaultCPU(), Costs: disksim.DefaultCosts()}
-		if *ssd {
-			cfg.MainDisk = disksim.SSDScaled("ssd0", *simScale)
-		} else {
-			cfg.MainDisk = disksim.HDDScaled("hdd0", *simScale)
-		}
-		base.Base.Sim = cfg
-	}
-	if *configPath != "" {
-		// The settings file replaces the engine-option flags wholesale;
-		// its batch keys are defaults that explicit flags still override.
-		f, err := os.Open(*configPath)
-		if err != nil {
-			fail(err)
-		}
-		rc, err := runconfig.Parse(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		base = rc.CoreOptions()
-		setFlags := map[string]bool{}
-		flag.Visit(func(fl *flag.Flag) { setFlags[fl.Name] = true })
-		if !setFlags["batch-size"] && rc.BatchSize >= 0 {
-			*batchSize = rc.BatchSize
-		}
-		if !setFlags["batch-wait"] && rc.BatchWaitMillis > 0 {
-			*batchWait = time.Duration(rc.BatchWaitMillis) * time.Millisecond
-		}
-		if !setFlags["shed"] && rc.Shed >= 0 {
-			*shed = rc.Shed != 0
-		}
-		if !setFlags["shed-target"] && rc.ShedTargetMillis > 0 {
-			*shedTarget = time.Duration(rc.ShedTargetMillis) * time.Millisecond
-		}
-		if !setFlags["shed-interval"] && rc.ShedIntervalMillis > 0 {
-			*shedInterval = time.Duration(rc.ShedIntervalMillis) * time.Millisecond
-		}
-		if !setFlags["breaker-threshold"] && rc.BreakerThreshold >= 0 {
-			*breakerThreshold = rc.BreakerThreshold
-		}
-		if !setFlags["breaker-backoff"] && rc.BreakerBackoffMillis > 0 {
-			*breakerBackoff = time.Duration(rc.BreakerBackoffMillis) * time.Millisecond
-		}
-		if !setFlags["breaker-max-backoff"] && rc.BreakerMaxBackoffMillis > 0 {
-			*breakerMaxBackoff = time.Duration(rc.BreakerMaxBackoffMillis) * time.Millisecond
-		}
-		if !setFlags["cache-ttl"] && rc.CacheTTLMillis >= 0 {
-			*cacheTTL = time.Duration(rc.CacheTTLMillis) * time.Millisecond
-		}
-		if !setFlags["priority-header"] && rc.PriorityHeader != "" {
-			*priorityHeader = rc.PriorityHeader
-		}
+	vol, err := runconfig.FaultVolume(osVol)
+	if err != nil {
+		fail(err)
 	}
 
 	var sinks []obs.Sink
@@ -263,29 +162,12 @@ func main() {
 	}
 	tr := obs.New(sinks...)
 	defer tr.Close()
-	cfg := serve.Config{
-		MaxInFlight:       *maxInFlight,
-		MaxQueue:          *maxQueue,
-		CacheEntries:      *cacheEntries,
-		BatchSize:         *batchSize,
-		BatchWait:         *batchWait,
-		Shed:              *shed,
-		ShedTarget:        *shedTarget,
-		ShedInterval:      *shedInterval,
-		CacheTTL:          *cacheTTL,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerBackoff:    *breakerBackoff,
-		BreakerMaxBackoff: *breakerMaxBackoff,
-		PriorityHeader:    *priorityHeader,
-		PanicRoot:         *panicRoot,
-		Base:              base,
-		Tracer:            tr,
-	}
-	if *breakerThreshold == 0 {
-		// The flag's 0 means "breaker off"; the serve layer spells that -1
-		// (its 0 selects the default threshold).
-		cfg.BreakerThreshold = -1
-	}
+	cfg := rc.ServeConfig()
+	cfg.MaxInFlight = *maxInFlight
+	cfg.MaxQueue = *maxQueue
+	cfg.CacheEntries = *cacheEntries
+	cfg.PanicRoot = *panicRoot
+	cfg.Tracer = tr
 	if *slowQuery > 0 {
 		cfg.SlowQueryThreshold = *slowQuery
 		cfg.SlowQueryLog = os.Stderr

@@ -86,7 +86,7 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 	// seeded graphs.
 	for seed := int64(1); seed <= 12; seed++ {
 		refVol, m := seededGraph(t, seed)
-		ref, err := Run(refVol, m.Name, ckOpts(nil, false, 0))
+		ref, err := envRun(refVol, m.Name, ckOpts(nil, false, 0))
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
@@ -98,7 +98,7 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 
 		vol, _ := seededGraph(t, seed)
 		ck := storage.NewMem()
-		partial, err := Run(vol, m.Name, ckOpts(ck, false, killIter))
+		partial, err := envRun(vol, m.Name, ckOpts(ck, false, killIter))
 		if err != nil {
 			t.Fatalf("seed %d: partial run: %v", seed, err)
 		}
@@ -116,7 +116,7 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 		tr, iters := iterRecorder()
 		opts := ckOpts(ck, true, 0)
 		opts.Base.Tracer = tr
-		resumed, err := Run(vol, m.Name, opts)
+		resumed, err := envRun(vol, m.Name, opts)
 		tr.Close()
 		if err != nil {
 			t.Fatalf("seed %d: resume: %v", seed, err)
@@ -148,7 +148,7 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 	// the resumed result must still be byte-identical. The loop also
 	// doubles as a goroutine-leak check over the abort path.
 	warm, wm := seededGraph(t, 100)
-	if _, err := Run(warm, wm.Name, ckOpts(nil, false, 0)); err != nil {
+	if _, err := envRun(warm, wm.Name, ckOpts(nil, false, 0)); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -156,7 +156,7 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 	killed := 0
 	for seed := int64(101); seed <= 108; seed++ {
 		refVol, m := seededGraph(t, seed)
-		ref, err := Run(refVol, m.Name, ckOpts(nil, false, 0))
+		ref, err := envRun(refVol, m.Name, ckOpts(nil, false, 0))
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
@@ -172,7 +172,7 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 			}
 			return nil
 		})
-		_, err = RunContext(ctx, vol, m.Name, ckOpts(ck, false, 0))
+		_, err = envRunContext(ctx, vol, m.Name, ckOpts(ck, false, 0))
 		vol.FailWrites(nil)
 		cancel()
 		if err != nil {
@@ -182,7 +182,7 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 			killed++
 		}
 
-		resumed, err := Run(vol, m.Name, ckOpts(ck, true, 0))
+		resumed, err := envRun(vol, m.Name, ckOpts(ck, true, 0))
 		if err != nil {
 			t.Fatalf("seed %d: resume after mid-write kill: %v", seed, err)
 		}
@@ -203,12 +203,12 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 
 func TestResumeWithNoManifestRunsFresh(t *testing.T) {
 	refVol, m := seededGraph(t, 21)
-	ref, err := Run(refVol, m.Name, ckOpts(nil, false, 0))
+	ref, err := envRun(refVol, m.Name, ckOpts(nil, false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	vol, _ := seededGraph(t, 21)
-	res, err := Run(vol, m.Name, ckOpts(storage.NewMem(), true, 0))
+	res, err := envRun(vol, m.Name, ckOpts(storage.NewMem(), true, 0))
 	if err != nil {
 		t.Fatalf("resume with empty checkpoint volume: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestResumeWithNoManifestRunsFresh(t *testing.T) {
 func TestResumeDoneManifestOnlyRecollects(t *testing.T) {
 	vol, m := seededGraph(t, 22)
 	ck := storage.NewMem()
-	full, err := Run(vol, m.Name, ckOpts(ck, false, 0))
+	full, err := envRun(vol, m.Name, ckOpts(ck, false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestResumeDoneManifestOnlyRecollects(t *testing.T) {
 	tr, iters := iterRecorder()
 	opts := ckOpts(ck, true, 0)
 	opts.Base.Tracer = tr
-	res, err := Run(vol, m.Name, opts)
+	res, err := envRun(vol, m.Name, opts)
 	tr.Close()
 	if err != nil {
 		t.Fatalf("resume of a finished run: %v", err)
@@ -249,7 +249,7 @@ func TestResumeDoneManifestOnlyRecollects(t *testing.T) {
 func TestResumeCorruptManifestFails(t *testing.T) {
 	vol, m := seededGraph(t, 23)
 	ck := storage.NewMem()
-	if _, err := Run(vol, m.Name, ckOpts(ck, false, 2)); err != nil {
+	if _, err := envRun(vol, m.Name, ckOpts(ck, false, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,7 +269,7 @@ func TestResumeCorruptManifestFails(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Run(vol, m.Name, ckOpts(ck, true, 0))
+		_, err = envRun(vol, m.Name, ckOpts(ck, true, 0))
 		if !errors.Is(err, errs.ErrCorrupted) {
 			t.Fatalf("resume from corrupt manifest: %v, want ErrCorrupted", err)
 		}
@@ -292,20 +292,20 @@ func TestResumeCorruptManifestFails(t *testing.T) {
 func TestResumeMismatchedRunFails(t *testing.T) {
 	vol, m := seededGraph(t, 24)
 	ck := storage.NewMem()
-	if _, err := Run(vol, m.Name, ckOpts(ck, false, 2)); err != nil {
+	if _, err := envRun(vol, m.Name, ckOpts(ck, false, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Same volume and manifest, different file prefix: the manifest's
 	// file names do not belong to this run and resume must refuse.
 	opts := ckOpts(ck, true, 0)
 	opts.Base.FilePrefix = "other"
-	if _, err := Run(vol, m.Name, opts); !errors.Is(err, errs.ErrCorrupted) {
+	if _, err := envRun(vol, m.Name, opts); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("resume under a different prefix: %v, want ErrCorrupted", err)
 	}
 	// A fresh volume holds the dataset but none of the working files the
 	// manifest names: the checkpoint and working volumes diverged.
 	vol2, _ := seededGraph(t, 24)
-	if _, err := Run(vol2, m.Name, ckOpts(ck, true, 0)); !errors.Is(err, errs.ErrCorrupted) {
+	if _, err := envRun(vol2, m.Name, ckOpts(ck, true, 0)); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("resume against a volume missing the working files: %v, want ErrCorrupted", err)
 	}
 }

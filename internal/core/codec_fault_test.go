@@ -8,7 +8,6 @@ import (
 	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/graphchi"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -64,13 +63,13 @@ func TestDeltaCorruptBlockFailsStop(t *testing.T) {
 		run  func(vol storage.Volume, g string) (*xstream.Result, error)
 	}{
 		{"fastbfs", func(vol storage.Volume, g string) (*xstream.Result, error) {
-			return Run(vol, g, Options{Base: base()})
+			return envRun(vol, g, Options{Base: base()})
 		}},
 		{"xstream", func(vol storage.Volume, g string) (*xstream.Result, error) {
-			return RunXStream(vol, g, base())
+			return envRunXStream(vol, g, base())
 		}},
 		{"graphchi", func(vol storage.Volume, g string) (*xstream.Result, error) {
-			return graphchi.Run(vol, g, base())
+			return envGraphChi(vol, g, base())
 		}},
 	}
 	for _, r := range runs {
@@ -98,7 +97,7 @@ func TestDeltaCorruptReverseFailsStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipByte(t, vol, graph.ReverseFileName(m.Name), sz/2)
-	_, err = Run(vol, m.Name, Options{Base: xstream.Options{
+	_, err = envRun(vol, m.Name, Options{Base: xstream.Options{
 		MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim(),
 		Direction: xstream.DirectionBottomUp,
 	}})
@@ -116,14 +115,14 @@ func TestDeltaTransientReadFaultsRetried(t *testing.T) {
 	opts := func() Options {
 		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}}
 	}
-	want, err := Run(clean, m.Name, opts())
+	want, err := envRun(clean, m.Name, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	inner, _, _ := storedDeltaGraph(t)
 	faulty := storage.NewFaulty(inner, storage.FaultSpec{Seed: 11, ReadP: 0.02})
-	got, err := Run(faulty, m.Name, opts())
+	got, err := envRun(faulty, m.Name, opts())
 	if err != nil {
 		t.Fatalf("transient read faults killed the run: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"fastbfs/internal/bfs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/graphchi"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -135,12 +134,12 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 					variant := fmt.Sprintf("codec=%s,reorder=%v,dir=%s", codec, reorder, d)
 
 					bo.Sim = xstream.DefaultSim()
-					fb, err := Run(vol, m.Name, Options{Base: bo})
+					fb, err := envRun(vol, m.Name, Options{Base: bo})
 					check("fastbfs("+variant+")", fb, err)
 					baseline("fastbfs("+variant+")", key{"fastbfs", reorder}, fb)
 
 					bo.Sim = xstream.DefaultSim()
-					xs, err := RunXStream(vol, m.Name, bo)
+					xs, err := envRunXStream(vol, m.Name, bo)
 					check("xstream("+variant+")", xs, err)
 					baseline("xstream("+variant+")", key{"xstream", reorder}, xs)
 				}
@@ -148,7 +147,7 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 					Root: root, MemoryBudget: budget, Partitions: partitions,
 					StreamBufSize: bufSize, Sim: xstream.DefaultSim(),
 				}
-				gc, err := graphchi.Run(vol, m.Name, bo)
+				gc, err := envGraphChi(vol, m.Name, bo)
 				variant := fmt.Sprintf("codec=%s,reorder=%v", codec, reorder)
 				check("graphchi("+variant+")", gc, err)
 				baseline("graphchi("+variant+")", key{"graphchi", reorder}, gc)
@@ -159,7 +158,7 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 						Root: root, MemoryBudget: budget, Partitions: partitions,
 						StreamBufSize: bufSize, Codec: graph.CodecDelta, Sim: xstream.DefaultSim(),
 					}
-					fb, err := Run(vol, m.Name, Options{Base: bo})
+					fb, err := envRun(vol, m.Name, Options{Base: bo})
 					label := fmt.Sprintf("fastbfs(stored=fixed,work=delta,reorder=%v)", reorder)
 					check(label, fb, err)
 					baseline(label, key{"fastbfs", reorder}, fb)

@@ -11,7 +11,6 @@ import (
 	"fastbfs/internal/disksim"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/graphchi"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -64,15 +63,15 @@ func TestAllEnginesAgreeProperty(t *testing.T) {
 		if delayTrim {
 			fbOpts.TrimStartIteration = 2
 		}
-		if !check(Run(vol, m.Name, fbOpts)) {
+		if !check(envRun(vol, m.Name, fbOpts)) {
 			return false
 		}
-		if !check(RunXStream(vol, m.Name, xstream.Options{
+		if !check(envRunXStream(vol, m.Name, xstream.Options{
 			Root: root, MemoryBudget: budget, StreamBufSize: bufSize, Sim: mkSim(),
 		})) {
 			return false
 		}
-		return check(graphchi.Run(vol, m.Name, xstream.Options{
+		return check(envGraphChi(vol, m.Name, xstream.Options{
 			Root: root, MemoryBudget: budget, StreamBufSize: bufSize, Sim: mkSim(),
 		}))
 	}
@@ -168,7 +167,7 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 			for _, rb := range []int64{ResidencyOff, 4096, ResidencyUnbounded} {
 				o := Options{Base: base, ResidencyBudget: rb}
 				o.Base.Sim = xstream.DefaultSim()
-				fb, err := Run(vol, m.Name, o)
+				fb, err := envRun(vol, m.Name, o)
 				check(fmt.Sprintf("fastbfs(residency=%d)", rb), fb, err)
 				if rb == ResidencyOff {
 					fbOff = fb
@@ -186,10 +185,10 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 			base.Sim = xstream.DefaultSim()
-			xs, err := RunXStream(vol, m.Name, base)
+			xs, err := envRunXStream(vol, m.Name, base)
 			check("xstream", xs, err)
 			base.Sim = xstream.DefaultSim()
-			gc, err := graphchi.Run(vol, m.Name, base)
+			gc, err := envGraphChi(vol, m.Name, base)
 			check("graphchi", gc, err)
 		}
 	}
@@ -291,7 +290,7 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 					label := fmt.Sprintf("fastbfs(dir=%s,workers=%d,residency=%d)", d, w, rb)
 					o := Options{Base: base, ResidencyBudget: rb}
 					o.Base.Sim = xstream.DefaultSim()
-					fb, err := Run(vol, m.Name, o)
+					fb, err := envRun(vol, m.Name, o)
 					check(label, fb, err)
 					if fbBase == nil {
 						fbBase = fb
@@ -301,7 +300,7 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 				}
 				label := fmt.Sprintf("xstream(dir=%s,workers=%d)", d, w)
 				base.Sim = xstream.DefaultSim()
-				xs, err := RunXStream(vol, m.Name, base)
+				xs, err := envRunXStream(vol, m.Name, base)
 				check(label, xs, err)
 				if xsBase == nil {
 					xsBase = xs
@@ -310,7 +309,7 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 				}
 			}
 		}
-		gc, err := graphchi.Run(vol, m.Name, xstream.Options{
+		gc, err := envGraphChi(vol, m.Name, xstream.Options{
 			Root: root, MemoryBudget: budget, Partitions: partitions,
 			StreamBufSize: bufSize, Sim: xstream.DefaultSim(),
 		})
@@ -343,17 +342,17 @@ func TestEnginesAgreeOnScaleFreeGraphs(t *testing.T) {
 		}
 		base := xstream.Options{Root: root, MemoryBudget: 8192, StreamBufSize: 512, Sim: xstream.DefaultSim()}
 
-		fb, err := Run(vol, m.Name, Options{Base: base})
+		fb, err := envRun(vol, m.Name, Options{Base: base})
 		if err != nil {
 			t.Fatalf("%s fastbfs: %v", m.Name, err)
 		}
 		base.Sim = xstream.DefaultSim()
-		xs, err := RunXStream(vol, m.Name, base)
+		xs, err := envRunXStream(vol, m.Name, base)
 		if err != nil {
 			t.Fatalf("%s xstream: %v", m.Name, err)
 		}
 		base.Sim = xstream.DefaultSim()
-		gc, err := graphchi.Run(vol, m.Name, base)
+		gc, err := envGraphChi(vol, m.Name, base)
 		if err != nil {
 			t.Fatalf("%s graphchi: %v", m.Name, err)
 		}

@@ -74,7 +74,7 @@ func runRecorded(t *testing.T, workers int) (*recordingVolume, *Result) {
 		t.Fatal(err)
 	}
 	rv := newRecordingVolume(vol)
-	res, err := Run(rv, m.Name, Options{
+	res, err := envRun(rv, m.Name, Options{
 		Base: xstream.Options{
 			Root: 1, MemoryBudget: 8192, StreamBufSize: 512,
 			ScatterWorkers: workers, Sim: xstream.DefaultSim(),

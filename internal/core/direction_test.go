@@ -22,7 +22,7 @@ import (
 
 func runDirection(t *testing.T, vol storage.Volume, name string, opts Options) *Result {
 	t.Helper()
-	res, err := Run(vol, name, opts)
+	res, err := envRun(vol, name, opts)
 	if err != nil {
 		t.Fatalf("direction %s: %v", opts.Base.Direction, err)
 	}
@@ -80,8 +80,22 @@ func TestFastBFSDirectionsByteIdentical(t *testing.T) {
 	}
 
 	// The acceptance bound: auto must move at least 30% fewer device
-	// bytes than top-down at this scale (measured: ~33%).
-	tdBytes, auBytes := td.Metrics.TotalBytes(), au.Metrics.TotalBytes()
+	// bytes than top-down at this scale (measured: ~33%). The bound was
+	// calibrated with the residency cache off. An ambient cache (CI's
+	// FASTBFS_RESIDENCY=unbounded cell) keeps trimmed forward partitions
+	// in RAM, which cuts top-down's bytes more than auto's, so the bound
+	// is taken from runs pinned to ResidencyOff, as the codec is pinned
+	// above. When no partition went resident those are the runs above.
+	tdOff, auOff := td, au
+	if td.Metrics.ResidentParts+au.Metrics.ResidentParts > 0 {
+		pinned := func(d xstream.Direction) *Result {
+			o := optsFor(d)
+			o.ResidencyBudget = ResidencyOff
+			return checkAgainstReference(t, m, edges, root, o)
+		}
+		tdOff, auOff = pinned(xstream.DirectionTopDown), pinned(xstream.DirectionAuto)
+	}
+	tdBytes, auBytes := tdOff.Metrics.TotalBytes(), auOff.Metrics.TotalBytes()
 	if float64(auBytes) > 0.70*float64(tdBytes) {
 		t.Fatalf("auto moved %d device bytes, top-down %d — reduction %.1f%%, want >= 30%%",
 			auBytes, tdBytes, 100*(1-float64(auBytes)/float64(tdBytes)))
@@ -176,7 +190,7 @@ func TestFastBFSAutoFallsBackWithoutReverse(t *testing.T) {
 
 	o = smallOpts()
 	o.Base.Direction = xstream.DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
+	if _, err := envRun(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
 		t.Fatalf("explicit bottomup without .rev: err = %v, want ErrBadOptions", err)
 	}
 }
@@ -198,7 +212,7 @@ func TestFastBFSCorruptReverseFailsStop(t *testing.T) {
 	}
 	o := smallOpts()
 	o.Base.Direction = xstream.DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
+	if _, err := envRun(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("corrupt .rev: err = %v, want ErrCorrupted", err)
 	}
 }
@@ -254,7 +268,7 @@ func TestFastBFSCheckpointPinsDirection(t *testing.T) {
 
 	o = ckOpts(storage.NewMem(), false, 0)
 	o.Base.Direction = xstream.DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
+	if _, err := envRun(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
 		t.Fatalf("checkpoint + bottomup: err = %v, want ErrBadOptions", err)
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"fastbfs/internal/errs"
@@ -55,7 +54,9 @@ import (
 const EngineName = "fastbfs"
 
 // Options configures a FastBFS run. Base holds the X-Stream-inherited
-// settings (root, memory budget, threads, buffers, simulation).
+// settings (root, memory budget, threads, buffers, simulation). Like
+// Base, it is the whole configuration: no field defaults from the
+// environment.
 type Options struct {
 	Base xstream.Options
 
@@ -92,9 +93,8 @@ type Options struct {
 	// ResidencyBudget is the resident-partition cache's byte budget: a
 	// partition whose trimmed input fits its fair share (budget /
 	// partitions) is promoted into RAM and never touches the device
-	// again (see DESIGN.md §8). 0 consults the FASTBFS_RESIDENCY
-	// environment variable and otherwise leaves the cache off;
-	// ResidencyOff forces it off; ResidencyUnbounded removes the limit.
+	// again (see DESIGN.md §8). 0 and ResidencyOff leave the cache off;
+	// ResidencyUnbounded removes the limit.
 	ResidencyBudget int64
 
 	// CheckpointVol, when non-nil, enables crash-consistent
@@ -129,13 +129,6 @@ func (o *Options) SetDefaults() {
 	}
 	if o.GraceWall == 0 {
 		o.GraceWall = 50 * time.Millisecond
-	}
-	if o.ResidencyBudget == 0 {
-		if s := os.Getenv("FASTBFS_RESIDENCY"); s != "" {
-			if b, err := ParseResidencyBudget(s); err == nil {
-				o.ResidencyBudget = b
-			}
-		}
 	}
 }
 

@@ -22,7 +22,7 @@ func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root 
 		t.Fatal(err)
 	}
 	opts.Base.Root = root
-	res, err := Run(vol, m.Name, opts)
+	res, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,12 @@ func TestFastBFSReadsLessThanXStream(t *testing.T) {
 	// otherwise per-file seeks dominate in a way they never did on the
 	// testbed.
 	xsOpts := xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.ScaledSim(512)}
-	xs, err := RunXStream(vol, m.Name, xsOpts)
+	xs, err := envRunXStream(vol, m.Name, xsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fbOpts := Options{Base: xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.ScaledSim(512)}}
-	fb, err := Run(vol, m.Name, fbOpts)
+	fb, err := envRun(vol, m.Name, fbOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFastBFSTwoDisksFasterThanOne(t *testing.T) {
 		if twoDisks {
 			sim.AuxDisk = disksim.HDD("hdd1")
 		}
-		res, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 16 << 10, Sim: sim}})
+		res, err := envRun(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 16 << 10, Sim: sim}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,14 +302,14 @@ func TestFastBFSDisableTrimmingMatchesXStreamReads(t *testing.T) {
 	root := maxDegreeVertex(m, edges)
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
-	xs, err := RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 8192, Sim: xstream.DefaultSim()})
+	xs, err := envRunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 8192, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Base: xstream.Options{Root: root, MemoryBudget: 8192, Sim: xstream.DefaultSim()}}
 	opts.DisableTrimming = true
 	opts.DisableSelectiveScheduling = true
-	fb, err := Run(vol, m.Name, opts)
+	fb, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestFastBFSWallClockOnOSVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := maxDegreeVertex(m, edges)
-	res, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 8192, StreamBufSize: 4096}})
+	res, err := envRun(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 8192, StreamBufSize: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestFastBFSPropertyRandomGraphs(t *testing.T) {
 		if err := graph.Store(vol, m, edges); err != nil {
 			return false
 		}
-		res, err := Run(vol, m.Name, Options{Base: xstream.Options{
+		res, err := envRun(vol, m.Name, Options{Base: xstream.Options{
 			Root: root, MemoryBudget: 1024, StreamBufSize: 256, Sim: xstream.DefaultSim(),
 		}})
 		if err != nil {

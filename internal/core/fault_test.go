@@ -42,7 +42,7 @@ func TestRunSurfacesUpdateWriteFailure(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
+	_, err := envRun(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -57,7 +57,7 @@ func TestRunSurfacesVertexWriteFailure(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
+	_, err := envRun(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -77,13 +77,13 @@ func TestRunSurvivesStayWriteFailure(t *testing.T) {
 	})
 	// Pin the residency cache off: this test is about the stay-file
 	// fallback path, which a promoted partition never takes.
-	res, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyOff})
+	res, err := envRun(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyOff})
 	if err != nil {
 		t.Fatalf("stay-write failure killed the run: %v", err)
 	}
 	// Must match a healthy run's result.
 	vol2, _ := storedGraph(t)
-	want, err := Run(vol2, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
+	want, err := envRun(vol2, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRunSurfacesPrepareFailure(t *testing.T) {
 	vol, m := storedGraph(t)
 	boom := errors.New("no space at all")
 	vol.FailWrites(func(name string, written int64) error { return boom })
-	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, Sim: xstream.DefaultSim()}})
+	_, err := envRun(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, Sim: xstream.DefaultSim()}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -118,7 +118,7 @@ func TestParallelScatterFaultAbortsCleanly(t *testing.T) {
 	// and leak no goroutines — the pool joins its workers even on the
 	// error path, and the stay writer shuts down behind it.
 	warm, wm := storedGraph(t)
-	if _, err := Run(warm, wm.Name, Options{Base: xstream.Options{
+	if _, err := envRun(warm, wm.Name, Options{Base: xstream.Options{
 		MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(),
 	}}); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestParallelScatterFaultAbortsCleanly(t *testing.T) {
 			}
 			return nil
 		})
-		_, err := Run(vol, m.Name, Options{Base: xstream.Options{
+		_, err := envRun(vol, m.Name, Options{Base: xstream.Options{
 			MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(),
 		}})
 		if !errors.Is(err, boom) {
@@ -172,12 +172,12 @@ func TestParallelScatterSurvivesStayFaults(t *testing.T) {
 	opts := Options{Base: xstream.Options{
 		MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(),
 	}, ResidencyBudget: ResidencyOff} // stay-file path under test: keep partitions on the device
-	res, err := Run(vol, m.Name, opts)
+	res, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatalf("stay-write failure killed the parallel run: %v", err)
 	}
 	vol2, _ := storedGraph(t)
-	want, err := Run(vol2, m.Name, Options{Base: xstream.Options{
+	want, err := envRun(vol2, m.Name, Options{Base: xstream.Options{
 		MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(),
 	}})
 	if err != nil {
@@ -198,7 +198,7 @@ func TestRunSurfacesGatherReadFailure(t *testing.T) {
 	// though the failure lands between a partition's gather and its
 	// scatter with prefetches in flight.
 	warm, wm := storedGraph(t)
-	if _, err := Run(warm, wm.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}}); err != nil {
+	if _, err := envRun(warm, wm.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}}); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -206,7 +206,7 @@ func TestRunSurfacesGatherReadFailure(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vol, m := storedGraph(t)
 		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: "_upd"})
-		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
+		_, err := envRun(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
 		if !errors.Is(err, errs.ErrIOFailed) {
 			t.Fatalf("run %d: err = %v, want ErrIOFailed", i, err)
 		}
@@ -228,7 +228,7 @@ func TestResidentPromotionFaultAbortsCleanly(t *testing.T) {
 	// surface ErrIOFailed (the error path also refunds the reservation)
 	// and leak no goroutines.
 	warm, wm := storedGraph(t)
-	if _, err := Run(warm, wm.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded}); err != nil {
+	if _, err := envRun(warm, wm.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded}); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -238,7 +238,7 @@ func TestResidentPromotionFaultAbortsCleanly(t *testing.T) {
 		// Match only the per-partition working edge files (the promoting
 		// scatter's input), not the stored dataset Prepare reads.
 		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: "fastbfs_edge_"})
-		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded})
+		_, err := envRun(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded})
 		if !errors.Is(err, errs.ErrIOFailed) {
 			t.Fatalf("run %d: err = %v, want ErrIOFailed", i, err)
 		}
@@ -263,7 +263,7 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}}
 	}
 	refVol, m := storedGraph(t)
-	want, err := Run(refVol, m.Name, opts())
+	want, err := envRun(refVol, m.Name, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 	// p=0.05 makes a default-budget exhaustion (p^4 per op) just likely
 	// enough to flake over a whole run; 12 attempts puts it at p^12.
 	o.Base.RetryAttempts = 12
-	res, err := Run(faulty, m.Name, o)
+	res, err := envRun(faulty, m.Name, o)
 	if err != nil {
 		t.Fatalf("run under transient faults: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestXStreamSurfacesWriteFailureToo(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 4096, Sim: xstream.DefaultSim()})
+	_, err := envRunXStream(vol, m.Name, xstream.Options{MemoryBudget: 4096, Sim: xstream.DefaultSim()})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -340,12 +340,12 @@ func TestWallModeCancellationViaSlowWriter(t *testing.T) {
 		// writes the stay file this test slows down.
 		ResidencyBudget: ResidencyOff,
 	}
-	res, err := Run(vol, m.Name, opts)
+	res, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vol2, _ := storedGraph(t)
-	want, err := Run(vol2, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256}})
+	want, err := envRun(vol2, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}

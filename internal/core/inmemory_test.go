@@ -66,11 +66,11 @@ func TestInMemoryDisableTrimmingMatchesXStream(t *testing.T) {
 	opts := inMemOpts()
 	opts.Base.Root = root
 	opts.DisableTrimming = true
-	fb, err := Run(vol, m.Name, opts)
+	fb, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, err := RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
+	xs, err := envRunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestInMemoryFasterThanOutOfCoreSameGraph(t *testing.T) {
 	root := maxDegreeVertex(m, edges)
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
-	small, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.DefaultSim()}})
+	small, err := envRun(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 32 << 10, Sim: xstream.DefaultSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()}})
+	big, err := envRun(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()}})
 	if err != nil {
 		t.Fatal(err)
 	}

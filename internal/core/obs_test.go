@@ -35,7 +35,7 @@ func TestTraceCoversExecTime(t *testing.T) {
 		Tracer:        tr,
 		Root:          maxDegreeVertex(m, edges),
 	}}
-	res, err := Run(vol, m.Name, opts)
+	res, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTraceInMemoryPath(t *testing.T) {
 	}
 	col := &obs.Collect{}
 	opts := Options{Base: xstream.Options{Tracer: obs.New(col)}} // default 1 GiB budget → in-memory
-	res, err := Run(vol, m.Name, opts)
+	res, err := envRun(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

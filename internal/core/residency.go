@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// Sentinel values for Options.ResidencyBudget. Zero means "unset":
-// SetDefaults then consults FASTBFS_RESIDENCY and falls back to off, so
-// an explicit off needs its own value.
+// Sentinel values for Options.ResidencyBudget. Zero leaves the cache
+// off too; ResidencyOff is the explicit spelling, which presets such as
+// RunXStream pin.
 const (
 	// ResidencyOff disables the resident-partition cache.
 	ResidencyOff int64 = -1
@@ -18,8 +18,8 @@ const (
 	ResidencyUnbounded int64 = math.MaxInt64
 )
 
-// ParseResidencyBudget parses a user-facing residency budget: "" leaves
-// the option unset (defaulting applies), "0"/"off"/"none" disable the
+// ParseResidencyBudget parses a user-facing residency budget: "" is the
+// zero value (cache off), "0"/"off"/"none" disable the
 // cache, "unbounded"/"unlimited" remove the limit, and anything else is
 // a byte count with an optional K/M/G suffix (powers of 1024).
 func ParseResidencyBudget(s string) (int64, error) {

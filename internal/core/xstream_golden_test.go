@@ -55,7 +55,7 @@ func TestXStreamBaselineGolden(t *testing.T) {
 		if c.twoDisks {
 			sim.AuxDisk = disksim.HDD("hdd1")
 		}
-		res, err := RunXStream(vol, m.Name, xstream.Options{
+		res, err := envRunXStream(vol, m.Name, xstream.Options{
 			Root: root, MemoryBudget: 16 << 10, StreamBufSize: 4096, Sim: sim,
 			Direction: xstream.DirectionTopDown, Codec: c.codec, KeepFiles: true,
 		})

@@ -6,23 +6,34 @@
 // this file carries the per-run knobs — engine, budgets, buffers, trim
 // policy, and the simulated device layout — in the same plain key=value
 // format.
+//
+// The same keys are the commands' single settings surface: Resolve
+// layers the built-in defaults, the FASTBFS_* environment, a settings
+// file and explicitly set flags, in that order of precedence, through
+// one key setter. The engines themselves read no environment variable.
 package runconfig
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"fastbfs/internal/algo"
 	"fastbfs/internal/core"
 	"fastbfs/internal/disksim"
+	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
+	"fastbfs/internal/serve"
+	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
 
-// Config is a parsed runtime-settings file.
+// Config is a resolved set of runtime settings.
 type Config struct {
 	// Engine selects fastbfs (default), xstream or graphchi.
 	Engine string
@@ -38,13 +49,10 @@ type Config struct {
 	MaxIterations   int
 	ScatterWorkers  int
 	// Direction is the traversal direction policy: topdown (default),
-	// bottomup, or auto for the Beamer-style hybrid. Empty leaves the
-	// engine's defaulting (FASTBFS_DIRECTION) in effect.
+	// bottomup, or auto for the Beamer-style hybrid.
 	Direction xstream.Direction
 	// Codec is the working-file codec for the run (fixed or delta).
-	// Empty leaves the engine's defaulting in effect — FASTBFS_CODEC,
-	// else the dataset's stored codec — so the precedence is
-	// flag/config > env > stored > fixed.
+	// Empty means the dataset's stored codec.
 	Codec graph.Codec
 	// Reorder is the store-time half of the codec surface: tools that
 	// build datasets from a settings file (see StoreOptions) relabel
@@ -61,9 +69,9 @@ type Config struct {
 	StayBufSize                int
 	StayBufCount               int
 	GracePeriod                float64
-	GraceWallMillis            int
+	GraceWall                  time.Duration
 	// ResidencyBudget is the resident-partition cache budget in
-	// core.Options semantics (0 = env/off, core.ResidencyOff,
+	// core.Options semantics (0 or core.ResidencyOff = off,
 	// core.ResidencyUnbounded).
 	ResidencyBudget int64
 
@@ -80,49 +88,143 @@ type Config struct {
 	// the main device's bandwidth multiplied by this fraction.
 	StayDiskBandwidthFrac float64
 
-	// Serving-layer batch execution (DESIGN.md §13); these only matter
-	// to the daemon, engine runs ignore them. BatchSize -1 means "not
-	// specified" (the daemon's flag/env default applies); 0 disables
-	// batching; positive values cap the distinct roots per shared run.
-	BatchSize int
-	// BatchWaitMillis is the batch hold window in milliseconds; 0 means
-	// not specified.
-	BatchWaitMillis int
-
-	// Overload-control settings (DESIGN.md §15), daemon-only like the
-	// batch knobs. Shed uses -1 for "not specified" (daemon flag/env
-	// default applies), 0 for off, 1 for on.
-	Shed int
-	// ShedTargetMillis/ShedIntervalMillis are the CoDel target and
-	// interval in milliseconds; 0 means not specified.
-	ShedTargetMillis   int
-	ShedIntervalMillis int
-	// BreakerThreshold is the circuit breaker's consecutive-I/O-failure
-	// trip count: -1 not specified, 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerBackoffMillis/BreakerMaxBackoffMillis bound the breaker's
-	// open interval; 0 means not specified.
-	BreakerBackoffMillis    int
-	BreakerMaxBackoffMillis int
-	// CacheTTLMillis bounds result-cache freshness: -1 not specified,
-	// 0 means entries never expire.
-	CacheTTLMillis int
-	// PriorityHeader names the HTTP header carrying the admission class;
-	// empty means not specified.
-	PriorityHeader string
+	// Serving-layer settings (DESIGN.md §13, §15); only the daemon
+	// reads them, engine runs ignore them. See ServeConfig.
+	BatchSize         int
+	BatchWait         time.Duration
+	Shed              bool
+	ShedTarget        time.Duration
+	ShedInterval      time.Duration
+	BreakerThreshold  int // 0 disables the breaker
+	BreakerBackoff    time.Duration
+	BreakerMaxBackoff time.Duration
+	CacheTTL          time.Duration // 0: entries never expire
+	PriorityHeader    string
 }
 
-// Default returns the configuration used when a key is absent.
+// Default returns the configuration used when no layer sets a key.
 func Default() Config {
-	return Config{Engine: "fastbfs", Device: "hdd", SeekScale: 1, BatchSize: -1,
-		Shed: -1, BreakerThreshold: -1, CacheTTLMillis: -1}
+	return Config{
+		Engine: "fastbfs", MemoryBudget: 1 << 30, Threads: 4, Device: "hdd", SeekScale: 1,
+		BatchSize: algo.MaxBatchRoots, BatchWait: 2 * time.Millisecond,
+		ShedTarget: 25 * time.Millisecond, ShedInterval: 100 * time.Millisecond,
+		BreakerThreshold: 5, BreakerBackoff: 500 * time.Millisecond, BreakerMaxBackoff: 8 * time.Second,
+		PriorityHeader: "X-Fastbfs-Priority",
+	}
 }
 
-// Parse reads a runtime-settings file. Unknown keys are rejected —
-// unlike the dataset config, a typo in a tuning knob should not pass
-// silently. Blank lines and '#' comments are ignored.
+// envKeys maps each FASTBFS_* environment variable to the key it sets.
+var envKeys = []struct{ env, key string }{
+	{"FASTBFS_WORKERS", "scatter_workers"},
+	{"FASTBFS_DIRECTION", "direction"},
+	{"FASTBFS_CODEC", "codec"},
+	{"FASTBFS_RESIDENCY", "residency_budget"},
+	{"FASTBFS_BATCH_SIZE", "batch_size"},
+	{"FASTBFS_BATCH_WAIT", "batch_wait_ms"},
+	{"FASTBFS_SHED", "shed"},
+	{"FASTBFS_SHED_TARGET", "shed_target_ms"},
+	{"FASTBFS_SHED_INTERVAL", "shed_interval_ms"},
+	{"FASTBFS_BREAKER_THRESHOLD", "breaker_threshold"},
+	{"FASTBFS_BREAKER_BACKOFF", "breaker_backoff_ms"},
+	{"FASTBFS_BREAKER_MAX_BACKOFF", "breaker_max_backoff_ms"},
+	{"FASTBFS_CACHE_TTL", "cache_ttl_ms"},
+	{"FASTBFS_PRIORITY_HEADER", "priority_header"},
+}
+
+// flagKeys maps each command-line flag of cmd/fastbfs and cmd/fastbfsd
+// that carries a setting to its key. -ssd is the boolean spelling of
+// device.
+var flagKeys = map[string]string{
+	"engine": "engine", "root": "root", "mem": "memory_budget", "threads": "threads",
+	"workers": "scatter_workers", "direction": "direction", "codec": "codec",
+	"residency-budget": "residency_budget", "trimstart": "trim_start_iteration",
+	"notrim": "disable_trimming", "noselsched": "disable_selective_scheduling",
+	"sim": "sim", "ssd": "device", "simscale": "seek_scale", "twodisks": "additional_disk",
+	"batch-size": "batch_size", "batch-wait": "batch_wait_ms", "shed": "shed",
+	"shed-target": "shed_target_ms", "shed-interval": "shed_interval_ms",
+	"breaker-threshold": "breaker_threshold", "breaker-backoff": "breaker_backoff_ms",
+	"breaker-max-backoff": "breaker_max_backoff_ms", "cache-ttl": "cache_ttl_ms",
+	"priority-header": "priority_header",
+}
+
+// Resolve builds a command's settings from four layers, each overriding
+// the one before: Default, the FASTBFS_* environment, the settings file
+// at path (none when path is empty) and the flags set explicitly on fs.
+// Every value goes through the key setter Parse uses, so each layer
+// takes the same syntax, and a malformed value fails naming its source.
+// An empty variable or string flag leaves the layers below in effect.
+func Resolve(fs *flag.FlagSet, path string) (Config, error) {
+	c := Default()
+	for _, e := range envKeys {
+		if v := os.Getenv(e.env); v != "" {
+			if err := c.set(e.key, v); err != nil {
+				return c, fmt.Errorf("runconfig: %s: %w", e.env, err)
+			}
+		}
+	}
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return c, fmt.Errorf("runconfig: %w", err)
+		}
+		err = c.parse(f)
+		f.Close()
+		if err != nil {
+			return c, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		key, ok := flagKeys[f.Name]
+		val := f.Value.String()
+		if !ok || val == "" || err != nil {
+			return
+		}
+		if f.Name == "ssd" {
+			if val == "true" {
+				val = "ssd"
+			} else {
+				val = "hdd"
+			}
+		}
+		if e := c.set(key, val); e != nil {
+			err = fmt.Errorf("runconfig: -%s: %w", f.Name, e)
+		}
+	})
+	if err != nil {
+		return c, err
+	}
+	return c, c.Validate()
+}
+
+// FaultVolume wraps vol in the seeded fault injection FASTBFS_FAULTS
+// describes (storage.ParseFaultSpec) and returns vol itself when the
+// variable is unset. It is the commands' chaos entry point; a library
+// caller gets faults only by wrapping its own volume.
+func FaultVolume(vol storage.Volume) (storage.Volume, error) {
+	spec, err := storage.ParseFaultSpec(os.Getenv("FASTBFS_FAULTS"))
+	if err != nil {
+		return nil, fmt.Errorf("runconfig: FASTBFS_FAULTS: %w: %v", errs.ErrBadOptions, err)
+	}
+	if !spec.Enabled() {
+		return vol, nil
+	}
+	return storage.NewFaulty(vol, spec), nil
+}
+
+// Parse reads a runtime-settings file over Default. Unknown keys are
+// rejected — unlike the dataset config, a typo in a tuning knob should
+// not pass silently. Blank lines and '#' comments are ignored.
 func Parse(r io.Reader) (Config, error) {
 	cfg := Default()
+	if err := cfg.parse(r); err != nil {
+		return cfg, err
+	}
+	return cfg, cfg.Validate()
+}
+
+// parse applies a settings file's lines to c.
+func (c *Config) parse(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	lineno := 0
 	for sc.Scan() {
@@ -133,18 +235,16 @@ func Parse(r io.Reader) (Config, error) {
 		}
 		key, val, ok := strings.Cut(line, "=")
 		if !ok {
-			return cfg, fmt.Errorf("runconfig: line %d: missing '=': %q", lineno, line)
+			return fmt.Errorf("runconfig: line %d: missing '=': %q", lineno, line)
 		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if err := cfg.set(key, val); err != nil {
-			return cfg, fmt.Errorf("runconfig: line %d: %w", lineno, err)
+		if err := c.set(strings.TrimSpace(key), strings.TrimSpace(val)); err != nil {
+			return fmt.Errorf("runconfig: line %d: %w", lineno, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return cfg, fmt.Errorf("runconfig: %w", err)
+		return fmt.Errorf("runconfig: %w", err)
 	}
-	return cfg, cfg.Validate()
+	return nil
 }
 
 func (c *Config) set(key, val string) error {
@@ -195,7 +295,7 @@ func (c *Config) set(key, val string) error {
 	case "grace_period":
 		c.GracePeriod, err = strconv.ParseFloat(val, 64)
 	case "grace_wall_ms":
-		c.GraceWallMillis, err = strconv.Atoi(val)
+		c.GraceWall, err = parseMillis(val)
 	case "residency_budget":
 		c.ResidencyBudget, err = core.ParseResidencyBudget(val)
 	case "sim":
@@ -209,28 +309,23 @@ func (c *Config) set(key, val string) error {
 	case "stay_disk_bandwidth_frac":
 		c.StayDiskBandwidthFrac, err = strconv.ParseFloat(val, 64)
 	case "batch_size":
-		c.BatchSize, err = strconv.Atoi(val)
+		c.BatchSize, err = parseCount(val)
 	case "batch_wait_ms":
-		c.BatchWaitMillis, err = strconv.Atoi(val)
+		c.BatchWait, err = parseMillis(val)
 	case "shed":
-		var b bool
-		b, err = strconv.ParseBool(val)
-		c.Shed = 0
-		if b {
-			c.Shed = 1
-		}
+		c.Shed, err = strconv.ParseBool(val)
 	case "shed_target_ms":
-		c.ShedTargetMillis, err = strconv.Atoi(val)
+		c.ShedTarget, err = parseMillis(val)
 	case "shed_interval_ms":
-		c.ShedIntervalMillis, err = strconv.Atoi(val)
+		c.ShedInterval, err = parseMillis(val)
 	case "breaker_threshold":
-		c.BreakerThreshold, err = strconv.Atoi(val)
+		c.BreakerThreshold, err = parseCount(val)
 	case "breaker_backoff_ms":
-		c.BreakerBackoffMillis, err = strconv.Atoi(val)
+		c.BreakerBackoff, err = parseMillis(val)
 	case "breaker_max_backoff_ms":
-		c.BreakerMaxBackoffMillis, err = strconv.Atoi(val)
+		c.BreakerMaxBackoff, err = parseMillis(val)
 	case "cache_ttl_ms":
-		c.CacheTTLMillis, err = strconv.Atoi(val)
+		c.CacheTTL, err = parseMillis(val)
 	case "priority_header":
 		c.PriorityHeader = val
 	default:
@@ -240,6 +335,33 @@ func (c *Config) set(key, val string) error {
 		return fmt.Errorf("bad value for %s: %w", key, err)
 	}
 	return nil
+}
+
+// parseCount accepts a non-negative integer.
+func parseCount(val string) (int, error) {
+	n, err := strconv.Atoi(val)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("%d is negative", n)
+	}
+	return n, err
+}
+
+// parseMillis reads a *_ms key: a plain integer counts milliseconds,
+// and a Go duration ("2ms", "1.5s") — the syntax of the matching flag
+// and environment variable — is taken as written. Negative values are
+// rejected.
+func parseMillis(val string) (time.Duration, error) {
+	var d time.Duration
+	n, err := strconv.Atoi(val)
+	if err == nil {
+		d = time.Duration(n) * time.Millisecond
+	} else {
+		d, err = time.ParseDuration(val)
+	}
+	if err == nil && d < 0 {
+		err = fmt.Errorf("%v is negative", d)
+	}
+	return d, err
 }
 
 // parseBytes accepts plain byte counts and K/M/G suffixes (powers of
@@ -273,38 +395,14 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("runconfig: unknown device %q (hdd or ssd)", c.Device)
 	}
-	if c.SeekScale <= 0 {
+	if !(c.SeekScale > 0) {
 		return fmt.Errorf("runconfig: seek_scale must be positive, got %v", c.SeekScale)
 	}
-	if c.TrimVisitedFraction < 0 || c.TrimVisitedFraction > 1 {
+	if !(c.TrimVisitedFraction >= 0 && c.TrimVisitedFraction <= 1) {
 		return fmt.Errorf("runconfig: trim_visited_fraction %v outside [0,1]", c.TrimVisitedFraction)
 	}
-	if c.StayDiskBandwidthFrac < 0 {
+	if !(c.StayDiskBandwidthFrac >= 0) {
 		return fmt.Errorf("runconfig: stay_disk_bandwidth_frac must be non-negative")
-	}
-	if c.BatchSize < -1 {
-		return fmt.Errorf("runconfig: batch_size must be -1 (unset), 0 (off) or positive, got %d", c.BatchSize)
-	}
-	if c.BatchWaitMillis < 0 {
-		return fmt.Errorf("runconfig: batch_wait_ms must be non-negative, got %d", c.BatchWaitMillis)
-	}
-	if c.ShedTargetMillis < 0 {
-		return fmt.Errorf("runconfig: shed_target_ms must be non-negative, got %d", c.ShedTargetMillis)
-	}
-	if c.ShedIntervalMillis < 0 {
-		return fmt.Errorf("runconfig: shed_interval_ms must be non-negative, got %d", c.ShedIntervalMillis)
-	}
-	if c.BreakerThreshold < -1 {
-		return fmt.Errorf("runconfig: breaker_threshold must be -1 (unset), 0 (off) or positive, got %d", c.BreakerThreshold)
-	}
-	if c.BreakerBackoffMillis < 0 {
-		return fmt.Errorf("runconfig: breaker_backoff_ms must be non-negative, got %d", c.BreakerBackoffMillis)
-	}
-	if c.BreakerMaxBackoffMillis < 0 {
-		return fmt.Errorf("runconfig: breaker_max_backoff_ms must be non-negative, got %d", c.BreakerMaxBackoffMillis)
-	}
-	if c.CacheTTLMillis < -1 {
-		return fmt.Errorf("runconfig: cache_ttl_ms must be -1 (unset) or non-negative, got %d", c.CacheTTLMillis)
 	}
 	return nil
 }
@@ -369,7 +467,32 @@ func (c Config) CoreOptions() core.Options {
 		StayBufSize:                c.StayBufSize,
 		StayBufCount:               c.StayBufCount,
 		GracePeriod:                c.GracePeriod,
-		GraceWall:                  time.Duration(c.GraceWallMillis) * time.Millisecond,
+		GraceWall:                  c.GraceWall,
 		ResidencyBudget:            c.ResidencyBudget,
 	}
+}
+
+// ServeConfig materializes the query-service settings, with CoreOptions
+// as every query's engine base. The caller fills in what no key covers:
+// admission limits, cache size, tracing and chaos hooks.
+func (c Config) ServeConfig() serve.Config {
+	sc := serve.Config{
+		BatchSize:         c.BatchSize,
+		BatchWait:         c.BatchWait,
+		Shed:              c.Shed,
+		ShedTarget:        c.ShedTarget,
+		ShedInterval:      c.ShedInterval,
+		CacheTTL:          c.CacheTTL,
+		BreakerThreshold:  c.BreakerThreshold,
+		BreakerBackoff:    c.BreakerBackoff,
+		BreakerMaxBackoff: c.BreakerMaxBackoff,
+		PriorityHeader:    c.PriorityHeader,
+		Base:              c.CoreOptions(),
+	}
+	if c.BreakerThreshold == 0 {
+		// The key's 0 means "breaker off"; the serve layer spells that -1
+		// (its 0 selects the default threshold).
+		sc.BreakerThreshold = -1
+	}
+	return sc
 }

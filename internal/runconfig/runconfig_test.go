@@ -148,33 +148,38 @@ priority_header = X-Tier
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Shed != 1 || cfg.ShedTargetMillis != 30 || cfg.ShedIntervalMillis != 150 {
+	if !cfg.Shed || cfg.ShedTarget != 30*time.Millisecond || cfg.ShedInterval != 150*time.Millisecond {
 		t.Fatalf("shed keys: %+v", cfg)
 	}
-	if cfg.BreakerThreshold != 3 || cfg.BreakerBackoffMillis != 250 || cfg.BreakerMaxBackoffMillis != 4000 {
+	if cfg.BreakerThreshold != 3 || cfg.BreakerBackoff != 250*time.Millisecond || cfg.BreakerMaxBackoff != 4*time.Second {
 		t.Fatalf("breaker keys: %+v", cfg)
 	}
-	if cfg.CacheTTLMillis != 60000 || cfg.PriorityHeader != "X-Tier" {
+	if cfg.CacheTTL != time.Minute || cfg.PriorityHeader != "X-Tier" {
 		t.Fatalf("cache/priority keys: %+v", cfg)
 	}
 }
 
-func TestParseOverloadDefaultsUnset(t *testing.T) {
-	// The tri-state keys must default to "not specified" (-1) so the
-	// daemon's flag > runconfig > env chain can tell silence from zero.
+func TestParseOverloadDefaults(t *testing.T) {
+	// An absent daemon key takes the daemon's built-in default, so no
+	// layer needs a "not specified" sentinel: a later layer that sets
+	// the key simply overwrites it.
 	cfg, err := Parse(strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Shed != -1 || cfg.BreakerThreshold != -1 || cfg.CacheTTLMillis != -1 {
-		t.Fatalf("unset sentinels: shed=%d breaker_threshold=%d cache_ttl_ms=%d, want -1/-1/-1",
-			cfg.Shed, cfg.BreakerThreshold, cfg.CacheTTLMillis)
+	if cfg.Shed || cfg.BreakerThreshold != 5 || cfg.CacheTTL != 0 || cfg.BatchSize != 32 {
+		t.Fatalf("defaults: shed=%v breaker_threshold=%d cache_ttl=%v batch_size=%d, want false/5/0/32",
+			cfg.Shed, cfg.BreakerThreshold, cfg.CacheTTL, cfg.BatchSize)
 	}
-	if cfg.ShedTargetMillis != 0 || cfg.ShedIntervalMillis != 0 || cfg.PriorityHeader != "" {
-		t.Fatalf("zero-value keys: %+v", cfg)
+	if cfg.ShedTarget != 25*time.Millisecond || cfg.BatchWait != 2*time.Millisecond || cfg.PriorityHeader != "X-Fastbfs-Priority" {
+		t.Fatalf("defaults: %+v", cfg)
 	}
-	if _, err := Parse(strings.NewReader("shed = false\nbreaker_threshold = 0\n")); err != nil {
+	cfg, err = Parse(strings.NewReader("shed = false\nbreaker_threshold = 0\nbatch_size = 0\n"))
+	if err != nil {
 		t.Fatalf("explicit off values rejected: %v", err)
+	}
+	if sc := cfg.ServeConfig(); sc.BreakerThreshold != -1 || sc.BatchSize != 0 {
+		t.Fatalf("off values reach serve as breaker %d, batch %d; want -1 (off), 0", sc.BreakerThreshold, sc.BatchSize)
 	}
 }
 
@@ -187,6 +192,8 @@ func TestParseOverloadErrors(t *testing.T) {
 		"negative backoff":     "breaker_backoff_ms = -1\n",
 		"negative max backoff": "breaker_max_backoff_ms = -10\n",
 		"bad cache ttl":        "cache_ttl_ms = -2\n",
+		"negative batch size":  "batch_size = -1\n",
+		"bad duration":         "batch_wait_ms = soon\n",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

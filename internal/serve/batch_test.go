@@ -27,7 +27,7 @@ func refBFSCapped(t *testing.T, e serve.Engine, vol storage.Volume, name string,
 	o := smallBase()
 	o.Base.Root = root
 	o.Base.MaxIterations = maxIter
-	res, err := serve.RunEngine(context.Background(), e, vol, name, o)
+	res, err := runEngine(context.Background(), e, vol, name, o)
 	if err != nil {
 		t.Fatalf("reference %s bfs from %d (cap %d): %v", e, root, maxIter, err)
 	}
@@ -44,7 +44,7 @@ func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 	vol, m := storedGraph(t)
 	for _, bs := range []int{1, 7, 32} {
 		t.Run(fmt.Sprintf("size%d", bs), func(t *testing.T) {
-			svc, err := serve.New(vol, m.Name, serve.Config{
+			svc, err := newService(vol, m.Name, serve.Config{
 				MaxInFlight: 2, MaxQueue: 64, CacheEntries: -1,
 				BatchSize: bs, BatchWait: 30 * time.Millisecond,
 				Base: smallBase(),
@@ -140,7 +140,7 @@ func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 // populate the cache per-root).
 func TestBatchFillsResultCache(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 2, MaxQueue: 32, CacheEntries: 32,
 		BatchSize: 8, BatchWait: 30 * time.Millisecond,
 		Base: smallBase(),
@@ -205,7 +205,7 @@ func newBatchGate(vol *storage.Mem) *writeGate {
 // batch keeps running and delivers correct results to the survivors.
 func TestBatchMemberCancellationIsTruthful(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 8, CacheEntries: -1,
 		BatchSize: 8, BatchWait: 50 * time.Millisecond,
 		Base: smallBase(),
@@ -266,7 +266,7 @@ func TestBatchMemberCancellationIsTruthful(t *testing.T) {
 // serving.
 func TestBatchAbandonment(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 8, CacheEntries: -1,
 		BatchSize: 8, BatchWait: 50 * time.Millisecond,
 		Base: smallBase(),
@@ -322,7 +322,7 @@ func TestBatchAbandonment(t *testing.T) {
 // own engine.
 func TestBatchGraphChiBypass(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 2, MaxQueue: 8, CacheEntries: -1,
 		BatchSize: 32, BatchWait: 10 * time.Millisecond,
 		Base: smallBase(),

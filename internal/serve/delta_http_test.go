@@ -38,7 +38,7 @@ func TestHTTPServesDeltaGraph(t *testing.T) {
 	// Cache off so the concurrent queries below actually ride a batch;
 	// a long hold window lets them coalesce deterministically.
 	cfg := serve.Config{CacheEntries: -1, BatchSize: 32, BatchWait: 300 * time.Millisecond, Base: smallBase()}
-	svc, err := serve.New(vol, m.Name, cfg)
+	svc, err := newService(vol, m.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

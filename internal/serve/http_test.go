@@ -24,7 +24,7 @@ func newHTTPService(t *testing.T, cfg serve.Config) (*storage.Mem, graph.Meta, *
 	t.Helper()
 	vol, m := storedGraph(t)
 	cfg.Base = smallBase()
-	svc, err := serve.New(vol, m.Name, cfg)
+	svc, err := newService(vol, m.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestHTTPIOFailureReasonAndDegradedHealth(t *testing.T) {
 	// record. Draining still wins over degraded.
 	vol, m := storedGraph(t)
 	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 1, PReadP: 1, Match: "_upd"})
-	svc, err := serve.New(faulty, m.Name, serve.Config{CacheEntries: -1, Base: smallBase()})
+	svc, err := newService(faulty, m.Name, serve.Config{CacheEntries: -1, Base: smallBase()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestHTTPTransientRetriesStayHealthy(t *testing.T) {
 	base := smallBase()
 	base.Base.RetryAttempts = 20
 	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 7, ReadP: 0.2, WriteP: 0.2, Match: "_upd"})
-	svc, err := serve.New(faulty, m.Name, serve.Config{Base: base})
+	svc, err := newService(faulty, m.Name, serve.Config{Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestHTTPServesStaleGraphWithoutReverse(t *testing.T) {
 
 	cfg := serve.Config{Base: smallBase()}
 	cfg.Base.Base.Direction = xstream.DirectionAuto
-	svc, err := serve.New(vol, m.Name, cfg)
+	svc, err := newService(vol, m.Name, cfg)
 	if err != nil {
 		t.Fatalf("service refused a graph without a reverse file: %v", err)
 	}

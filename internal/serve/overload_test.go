@@ -53,7 +53,7 @@ func TestServicePanicIsolation(t *testing.T) {
 	want := refBFS(t, serve.EngineFastBFS, vol, m.Name, 1)
 	before := runtime.NumGoroutine()
 
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 2, CacheEntries: -1, Base: smallBase(), PanicRoot: 7,
 	})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestServicePanicIsolation(t *testing.T) {
 // cache entry instead, marked Stale.
 func TestServiceDeadlineShedAndStale(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 4, Shed: true,
 		CacheTTL: time.Millisecond, Base: smallBase(),
 	})
@@ -169,7 +169,7 @@ func TestServiceDeadlineShedAndStale(t *testing.T) {
 // time — one shed per grant, the next waiter granted regardless.
 func TestServiceQueueAgingShed(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 4, CacheEntries: -1,
 		Shed: true, ShedTarget: time.Nanosecond, ShedInterval: time.Nanosecond,
 		Base: smallBase(),
@@ -226,7 +226,7 @@ func TestServiceQueueAgingShed(t *testing.T) {
 func TestServiceBreakerFastFailAndStale(t *testing.T) {
 	vol, m := storedGraph(t)
 	before := runtime.NumGoroutine()
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 2, CacheTTL: time.Millisecond,
 		BreakerThreshold: 2, BreakerBackoff: 10 * time.Minute,
 		Base: smallBase(),
@@ -306,7 +306,7 @@ func TestServiceBreakerFastFailAndStale(t *testing.T) {
 // again — the service heals without a restart.
 func TestServiceBreakerProbeRecovery(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 2, CacheEntries: -1,
 		BreakerThreshold: 2, BreakerBackoff: 20 * time.Millisecond,
 		Base: smallBase(),
@@ -351,7 +351,7 @@ func TestServiceBreakerProbeRecovery(t *testing.T) {
 // arrived first.
 func TestServicePriorityOrdering(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 4, CacheEntries: -1, Base: smallBase()})
+	svc, err := newService(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 4, CacheEntries: -1, Base: smallBase()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestServicePriorityOrdering(t *testing.T) {
 // malformed).
 func TestHTTPOverloadSurface(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 1, CacheEntries: -1,
 		BreakerThreshold: 2, BreakerBackoff: 200 * time.Millisecond,
 		Base: smallBase(),

@@ -388,8 +388,14 @@ type GraphService struct {
 // validated once here; a missing graph fails with errs.ErrGraphNotFound.
 func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error) {
 	cfg.setDefaults()
-	m, err := graph.LoadMeta(vol, graphName)
-	if err != nil {
+	// The volume may inject faults (fastbfsd wraps its volume when
+	// FASTBFS_FAULTS is set), so the meta load retries transient ones as
+	// every engine read does.
+	var m graph.Meta
+	if err := stream.NewRetrier(context.Background(), 0).Do("load meta "+graphName, func() (err error) {
+		m, err = graph.LoadMeta(vol, graphName)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	tr := cfg.Tracer

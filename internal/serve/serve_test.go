@@ -52,7 +52,7 @@ func refBFS(t *testing.T, e serve.Engine, vol storage.Volume, name string, root 
 	t.Helper()
 	o := smallBase()
 	o.Base.Root = root
-	res, err := serve.RunEngine(context.Background(), e, vol, name, o)
+	res, err := runEngine(context.Background(), e, vol, name, o)
 	if err != nil {
 		t.Fatalf("reference %s bfs from %d: %v", e, root, err)
 	}
@@ -146,7 +146,7 @@ func TestServiceSaturationCancellationAndDrain(t *testing.T) {
 
 	tr := obs.New()
 	defer tr.Close()
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 2, MaxQueue: 3, CacheEntries: 16, Base: smallBase(), Tracer: tr,
 	})
 	if err != nil {
@@ -327,7 +327,7 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 
 	tr := obs.New()
 	defer tr.Close()
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		MaxInFlight: 4, MaxQueue: 8, CacheEntries: 32, Base: smallBase(), Tracer: tr,
 	})
 	if err != nil {
@@ -430,7 +430,7 @@ func TestServiceResultCache(t *testing.T) {
 	vol, m := storedGraph(t)
 	tr := obs.New()
 	defer tr.Close()
-	svc, err := serve.New(vol, m.Name, serve.Config{Base: smallBase(), Tracer: tr})
+	svc, err := newService(vol, m.Name, serve.Config{Base: smallBase(), Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestServiceResultCache(t *testing.T) {
 
 func TestServiceRejectsBadQueries(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{Base: smallBase()})
+	svc, err := newService(vol, m.Name, serve.Config{Base: smallBase()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,13 +516,13 @@ func TestServiceRejectsBadQueries(t *testing.T) {
 	if e, err := serve.ParseEngine(" GraphChi "); err != nil || e != serve.EngineGraphChi {
 		t.Errorf("ParseEngine is not case/space-insensitive: %v %v", e, err)
 	}
-	if _, err := serve.RunEngine(context.Background(), serve.Engine(9), vol, m.Name, smallBase()); !errors.Is(err, errs.ErrBadOptions) {
+	if _, err := runEngine(context.Background(), serve.Engine(9), vol, m.Name, smallBase()); !errors.Is(err, errs.ErrBadOptions) {
 		t.Errorf("RunEngine(9): %v, want ErrBadOptions", err)
 	}
 }
 
 func TestServiceGraphNotFound(t *testing.T) {
-	_, err := serve.New(storage.NewMem(), "absent", serve.Config{})
+	_, err := newService(storage.NewMem(), "absent", serve.Config{})
 	if !errors.Is(err, errs.ErrGraphNotFound) {
 		t.Fatalf("New on an empty volume: err = %v, want ErrGraphNotFound", err)
 	}
@@ -538,7 +538,7 @@ func TestServiceShutdownDrains(t *testing.T) {
 	vol, m := storedGraph(t)
 	want := refBFS(t, serve.EngineFastBFS, vol, m.Name, 1)
 
-	svc, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 2, Base: smallBase()})
+	svc, err := newService(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 2, Base: smallBase()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func TestServiceShutdownDrains(t *testing.T) {
 // than abandoning them parked on their grant channels.
 func TestServiceShutdownExpiredContextWakesWaiters(t *testing.T) {
 	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 4, Base: smallBase()})
+	svc, err := newService(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 4, Base: smallBase()})
 	if err != nil {
 		t.Fatal(err)
 	}

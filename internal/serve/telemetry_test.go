@@ -189,7 +189,7 @@ func TestSubmitRecordsHistogramsAndSpans(t *testing.T) {
 	col := &obs.Collect{}
 	tr := obs.New(col)
 	defer tr.Close()
-	svc, err := serve.New(vol, m.Name, serve.Config{Base: smallBase(), Tracer: tr})
+	svc, err := newService(vol, m.Name, serve.Config{Base: smallBase(), Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSubmitRecordsHistogramsAndSpans(t *testing.T) {
 
 	// Busy rejections land in their own outcome series.
 	gate := newWriteGate(vol)
-	svc2, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: -1, CacheEntries: -1, Base: smallBase(), Tracer: tr})
+	svc2, err := newService(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: -1, CacheEntries: -1, Base: smallBase(), Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSubmitRecordsHistogramsAndSpans(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	vol, m := storedGraph(t)
 	var slow syncBuf
-	svc, err := serve.New(vol, m.Name, serve.Config{
+	svc, err := newService(vol, m.Name, serve.Config{
 		Base:               smallBase(),
 		SlowQueryThreshold: time.Nanosecond, // everything is slow
 		SlowQueryLog:       &slow,
@@ -338,7 +338,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// Below the threshold nothing is logged.
-	svc2, err := serve.New(vol, m.Name, serve.Config{
+	svc2, err := newService(vol, m.Name, serve.Config{
 		Base:               smallBase(),
 		SlowQueryThreshold: time.Hour,
 		SlowQueryLog:       &slow,
@@ -366,7 +366,7 @@ func TestHTTPSlowQueryLogEmission(t *testing.T) {
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       &slow,
 	}
-	svc, err := serve.New(vol, m.Name, cfg)
+	svc, err := newService(vol, m.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ type FaultSpec struct {
 }
 
 // ParseFaultSpec parses a comma-separated key=value spec, the format of
-// the FASTBFS_FAULTS environment variable:
+// the FASTBFS_FAULTS environment variable the commands read:
 //
 //	seed=7,read=0.02,write=0.02,pread=0,pwrite=0,torn=0.01,flip=0.01,match=_stay
 //
@@ -96,7 +96,7 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 			continue
 		}
 		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 			return spec, fmt.Errorf("storage: fault spec %s=%q: want probability in [0,1]", k, v)
 		}
 		switch k {
@@ -234,6 +234,25 @@ func (v *Faulty) Size(name string) (int64, error) { return v.inner.Size(name) }
 
 // List implements Volume.
 func (v *Faulty) List() []string { return v.inner.List() }
+
+// ReadRange implements RangeVolume, unfaulted, when the wrapped volume
+// does.
+func (v *Faulty) ReadRange(name string, off, length int64) ([]byte, error) {
+	rv, ok := v.inner.(RangeVolume)
+	if !ok {
+		return nil, fmt.Errorf("storage: %T does not support ReadRange", v.inner)
+	}
+	return rv.ReadRange(name, off, length)
+}
+
+// Patch implements RangeVolume, unfaulted, when the wrapped volume does.
+func (v *Faulty) Patch(name string, off int64, data []byte) error {
+	rv, ok := v.inner.(RangeVolume)
+	if !ok {
+		return fmt.Errorf("storage: %T does not support Patch", v.inner)
+	}
+	return rv.Patch(name, off, data)
+}
 
 type faultyReader struct {
 	vol   *Faulty

@@ -255,3 +255,40 @@ func TestOSWriterSync(t *testing.T) {
 		t.Fatal("Sync after Close must fail")
 	}
 }
+
+// FuzzParseFaultSpec feeds arbitrary specs to the FASTBFS_FAULTS parser:
+// it must never panic, and every spec it accepts must carry
+// probabilities in [0,1].
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("seed=7,read=0.02,write=0.02")
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseFaultSpec(in)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{spec.ReadP, spec.WriteP, spec.PReadP, spec.PWriteP, spec.TornP, spec.FlipP} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("accepted %q with probability %v outside [0,1]", in, p)
+			}
+		}
+	})
+}
+
+func TestFaultyRangeAccessPassesThrough(t *testing.T) {
+	// GraphChi's ranged shard access is outside the fault model: a
+	// Faulty over a ranged volume stays ranged, and never faults it.
+	mem := NewMem()
+	if err := WriteAll(mem, "f", []byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	rv, ok := Volume(NewFaulty(mem, FaultSpec{PReadP: 1, PWriteP: 1})).(RangeVolume)
+	if !ok {
+		t.Fatal("Faulty over a ranged volume is not a RangeVolume")
+	}
+	if err := rv.Patch("f", 1, []byte("XY")); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := rv.ReadRange("f", 0, 4); err != nil || string(b) != "aXYd" {
+		t.Fatalf("ReadRange = %q, %v; want \"aXYd\"", b, err)
+	}
+}

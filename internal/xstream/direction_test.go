@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"fastbfs/internal/core"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
@@ -97,7 +96,7 @@ func runDir(t *testing.T, vol storage.Volume, name string, root graph.VertexID, 
 	o := smallOpts()
 	o.Root = root
 	o.Direction = d
-	res, err := core.RunXStream(vol, name, o)
+	res, err := envRunXStream(vol, name, o)
 	if err != nil {
 		t.Fatalf("direction %s: %v", d, err)
 	}
@@ -165,7 +164,7 @@ func TestXStreamAutoFallsBackWithoutReverse(t *testing.T) {
 	}
 	o := smallOpts()
 	o.Direction = xstream.DirectionBottomUp
-	if _, err := core.RunXStream(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
+	if _, err := envRunXStream(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
 		t.Fatalf("explicit bottomup without .rev: err = %v, want ErrBadOptions", err)
 	}
 }
@@ -192,7 +191,7 @@ func TestXStreamCorruptReverseSurfacesErrCorrupted(t *testing.T) {
 	}
 	o := smallOpts()
 	o.Direction = xstream.DirectionBottomUp
-	if _, err := core.RunXStream(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
+	if _, err := envRunXStream(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("corrupt .rev: err = %v, want ErrCorrupted", err)
 	}
 }

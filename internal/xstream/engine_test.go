@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fastbfs/internal/bfs"
-	"fastbfs/internal/core"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
@@ -20,7 +19,7 @@ func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root 
 		t.Fatal(err)
 	}
 	opts.Root = root
-	res, err := core.RunXStream(vol, m.Name, opts)
+	res, err := envRunXStream(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestXStreamRereadsWholeGraphEveryIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := smallOpts()
-	res, err := core.RunXStream(vol, m.Name, opts)
+	res, err := envRunXStream(vol, m.Name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +154,11 @@ func TestXStreamInMemoryMuchFasterThanStreaming(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	slow, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 16 << 10, Sim: xstream.DefaultSim()})
+	slow, err := envRunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 16 << 10, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
+	fast, err := envRunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 1 << 30, Sim: xstream.DefaultSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestXStreamWallClockMode(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 2048, StreamBufSize: 256})
+	res, err := envRunXStream(vol, m.Name, xstream.Options{MemoryBudget: 2048, StreamBufSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestXStreamCleansUpWorkingFiles(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 1024, Sim: xstream.DefaultSim()}); err != nil {
+	if _, err := envRunXStream(vol, m.Name, xstream.Options{MemoryBudget: 1024, Sim: xstream.DefaultSim()}); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range vol.List() {
@@ -209,7 +208,7 @@ func TestXStreamKeepFiles(t *testing.T) {
 	m, edges, _ := gen.BinaryTree(50)
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
-	if _, err := core.RunXStream(vol, m.Name, xstream.Options{MemoryBudget: 1024, Sim: xstream.DefaultSim(), KeepFiles: true}); err != nil {
+	if _, err := envRunXStream(vol, m.Name, xstream.Options{MemoryBudget: 1024, Sim: xstream.DefaultSim(), KeepFiles: true}); err != nil {
 		t.Fatal(err)
 	}
 	if len(vol.List()) <= 2 {
@@ -219,12 +218,12 @@ func TestXStreamKeepFiles(t *testing.T) {
 
 func TestXStreamErrors(t *testing.T) {
 	vol := storage.NewMem()
-	if _, err := core.RunXStream(vol, "absent", xstream.Options{Sim: xstream.DefaultSim()}); err == nil {
+	if _, err := envRunXStream(vol, "absent", xstream.Options{Sim: xstream.DefaultSim()}); err == nil {
 		t.Error("missing graph accepted")
 	}
 	m, edges, _ := gen.Path(5)
 	graph.Store(vol, m, edges)
-	if _, err := core.RunXStream(vol, m.Name, xstream.Options{Root: 5, Sim: xstream.DefaultSim()}); err == nil {
+	if _, err := envRunXStream(vol, m.Name, xstream.Options{Root: 5, Sim: xstream.DefaultSim()}); err == nil {
 		t.Error("out-of-range root accepted")
 	}
 }
@@ -264,7 +263,7 @@ func TestMoreThreadsDoNotHelpIOBoundRun(t *testing.T) {
 	vol := storage.NewMem()
 	graph.Store(vol, m, edges)
 	run := func(threads int) float64 {
-		res, err := core.RunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 32 << 10, Threads: threads, Sim: xstream.DefaultSim()})
+		res, err := envRunXStream(vol, m.Name, xstream.Options{Root: root, MemoryBudget: 32 << 10, Threads: threads, Sim: xstream.DefaultSim()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,9 +23,7 @@ package xstream
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"fastbfs/internal/disksim"
@@ -110,7 +108,9 @@ func ScaledSim(factor float64) *SimConfig {
 }
 
 // Options configures an engine run. The zero value is not usable; call
-// (*Options).SetDefaults or fill the fields.
+// (*Options).SetDefaults or fill the fields. The engines read no
+// environment variable: commands map flags, settings files and FASTBFS_*
+// variables onto these fields (internal/runconfig).
 type Options struct {
 	// Root is the BFS source vertex.
 	Root graph.VertexID
@@ -132,8 +132,7 @@ type Options struct {
 	// pre-fetching", §III). Default 2; set negative to disable.
 	PrefetchBuffers int
 	// ScatterWorkers is the number of goroutines classifying edge
-	// chunks in the scatter phase. 0 takes the FASTBFS_WORKERS
-	// environment variable if set, else runtime.NumCPU(); negative
+	// chunks in the scatter phase. 0 means runtime.NumCPU(); negative
 	// forces the serial path (1). Results are byte-identical for every
 	// setting — see internal/stream/parallel.go for the contract.
 	ScatterWorkers int
@@ -165,9 +164,8 @@ type Options struct {
 	// iterations stream the reverse-edge partitions split from the
 	// dataset's .rev file; `auto` on a graph stored without one falls
 	// back to pure top-down (counted, never an error), while an explicit
-	// `bottomup` on such a graph is ErrBadOptions. Empty takes the
-	// FASTBFS_DIRECTION environment variable, else topdown. The
-	// in-memory fast path ignores the direction (it has no device
+	// `bottomup` on such a graph is ErrBadOptions. Empty means topdown.
+	// The in-memory fast path ignores the direction (it has no device
 	// traffic to save).
 	Direction Direction
 	// DirectionAlpha and DirectionBeta are the hybrid heuristic's switch
@@ -179,9 +177,8 @@ type Options struct {
 	DirectionBeta  int
 	// Codec selects the edge codec for the run's working files —
 	// partition splits, stay and reverse-stay rewrites, the reverse
-	// split. Empty takes the FASTBFS_CODEC environment variable, then
-	// the dataset's stored codec, then fixed; the resolution happens in
-	// NewRuntimeContext (see Runtime.Codec).
+	// split. Empty takes the dataset's stored codec; the resolution
+	// happens in NewRuntimeContext (see Runtime.Codec).
 	Codec graph.Codec
 	// FaultHook, when non-nil, runs before every scatter chunk — the
 	// chaos-testing seam behind the daemon's -panic-root flag. A hook
@@ -209,13 +206,6 @@ func (o *Options) SetDefaults(engineName string) {
 		o.PrefetchBuffers = 0
 	}
 	if o.ScatterWorkers == 0 {
-		if s := os.Getenv("FASTBFS_WORKERS"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n > 0 {
-				o.ScatterWorkers = n
-			}
-		}
-	}
-	if o.ScatterWorkers == 0 {
 		o.ScatterWorkers = runtime.NumCPU()
 	}
 	if o.ScatterWorkers < 1 {
@@ -225,21 +215,7 @@ func (o *Options) SetDefaults(engineName string) {
 		o.FilePrefix = engineName
 	}
 	if o.Direction == "" {
-		if s := os.Getenv("FASTBFS_DIRECTION"); s != "" {
-			if d, err := ParseDirection(s); err == nil {
-				o.Direction = d
-			}
-		}
-	}
-	if o.Direction == "" {
 		o.Direction = DirectionTopDown
-	}
-	if o.Codec == "" {
-		if s := os.Getenv("FASTBFS_CODEC"); s != "" {
-			if c, err := graph.ParseCodec(s); err == nil {
-				o.Codec = c
-			}
-		}
 	}
 	if o.DirectionAlpha <= 0 {
 		o.DirectionAlpha = DefaultDirectionAlpha
@@ -383,21 +359,6 @@ func NewRuntime(vol storage.Volume, graphName string, opts Options) (*Runtime, e
 func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string, opts Options) (*Runtime, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	// FASTBFS_FAULTS wraps the volume with seeded fault injection — the
-	// single chaos entry point, so every engine, the CLI and the serving
-	// layer get it uniformly. A volume that is already Faulty (a test
-	// drove the injection itself) is left alone.
-	if spec := os.Getenv("FASTBFS_FAULTS"); spec != "" {
-		if _, already := vol.(*storage.Faulty); !already {
-			fs, err := storage.ParseFaultSpec(spec)
-			if err != nil {
-				return nil, fmt.Errorf("xstream: FASTBFS_FAULTS: %w: %v", errs.ErrBadOptions, err)
-			}
-			if fs.Enabled() {
-				vol = storage.NewFaulty(vol, fs)
-			}
-		}
 	}
 	retry := stream.NewRetrier(ctx, uint64(opts.Root)+1)
 	retry.Attempts = opts.RetryAttempts

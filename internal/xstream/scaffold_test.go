@@ -53,7 +53,13 @@ func TestAwaitFileBarriers(t *testing.T) {
 }
 
 func TestPrepareSplitsEdgesBySource(t *testing.T) {
-	rt := newRuntime(t, Options{MemoryBudget: 1024, StreamBufSize: 512, Sim: DefaultSim(), KeepFiles: true})
+	for _, c := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+		testPrepareSplitsEdgesBySource(t, c)
+	}
+}
+
+func testPrepareSplitsEdgesBySource(t *testing.T, codec graph.Codec) {
+	rt := newRuntime(t, Options{MemoryBudget: 1024, StreamBufSize: 512, Sim: DefaultSim(), KeepFiles: true, Codec: codec})
 	counts, err := rt.Prepare()
 	if err != nil {
 		t.Fatal(err)
@@ -66,10 +72,9 @@ func TestPrepareSplitsEdgesBySource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Working files carry the resolved codec (FASTBFS_CODEC may have
-		// forced delta), so deframe and decode before interpreting raw
-		// records.
-		if rt.Codec == graph.CodecDelta {
+		// Working files carry the run's codec, so deframe and decode
+		// delta splits before interpreting raw records.
+		if codec == graph.CodecDelta {
 			magic, payload, err := graph.DeframeAllMagic(b)
 			if err != nil || magic != graph.FrameMagicDelta {
 				t.Fatalf("partition %d is not an FBD1 stream (magic %#x): %v", p, magic, err)
