@@ -122,10 +122,13 @@ func (c *checkpointer) write(man *checkpointManifest) error {
 	return nil
 }
 
-// load reads and validates the manifest. A missing manifest returns
-// (nil, nil) — resume of a never-checkpointed run is a fresh run. Any
-// frame, JSON or schema violation wraps errs.ErrCorrupted.
-func (c *checkpointer) load() (*checkpointManifest, error) {
+// load reads and validates the manifest of a run over a graph with the
+// given vertex count. A missing manifest returns (nil, nil) — resume of
+// a never-checkpointed run is a fresh run. Any frame, JSON or schema
+// violation wraps errs.ErrCorrupted, and so does an iteration no run
+// can reach: a BFS completes within vertices+1 iterations, so the last
+// completed one is at most vertices.
+func (c *checkpointer) load(vertices uint64) (*checkpointManifest, error) {
 	raw, err := storage.ReadAll(c.vol, manifestName)
 	if err != nil {
 		if errors.Is(err, storage.ErrNotExist) {
@@ -144,7 +147,7 @@ func (c *checkpointer) load() (*checkpointManifest, error) {
 	if man.Version != manifestVersion {
 		return nil, fmt.Errorf("fastbfs: checkpoint manifest version %d, want %d: %w", man.Version, manifestVersion, errs.ErrCorrupted)
 	}
-	if man.Iteration < 0 || len(man.Parts) == 0 {
+	if man.Iteration < 0 || uint64(man.Iteration) > vertices || len(man.Parts) == 0 {
 		return nil, fmt.Errorf("fastbfs: checkpoint manifest is inconsistent (iteration %d, %d partitions): %w",
 			man.Iteration, len(man.Parts), errs.ErrCorrupted)
 	}

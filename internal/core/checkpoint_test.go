@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -105,7 +107,7 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 		if partial.Metrics.Checkpoints != killIter {
 			t.Fatalf("seed %d: %d checkpoints after %d iterations", seed, partial.Metrics.Checkpoints, killIter)
 		}
-		man, err := (&checkpointer{vol: ck}).load()
+		man, err := (&checkpointer{vol: ck}).load(m.Vertices)
 		if err != nil || man == nil {
 			t.Fatalf("seed %d: manifest after partial run: %v %v", seed, man, err)
 		}
@@ -228,7 +230,7 @@ func TestResumeDoneManifestOnlyRecollects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := (&checkpointer{vol: ck}).load()
+	man, err := (&checkpointer{vol: ck}).load(m.Vertices)
 	if err != nil || man == nil || !man.Done {
 		t.Fatalf("manifest after converged run: %+v, %v", man, err)
 	}
@@ -286,6 +288,138 @@ func TestResumeCorruptManifestFails(t *testing.T) {
 	})
 	t.Run("bad version", func(t *testing.T) {
 		corrupt(t, func([]byte) []byte { return graph.FrameAll([]byte(`{"version":99,"iteration":0,"parts":[{}]}`)) })
+	})
+}
+
+// setManifestIteration rewrites the checkpoint volume's manifest with
+// its iteration field replaced, keeping it validly framed.
+func setManifestIteration(t *testing.T, ck storage.Volume, iter int) {
+	t.Helper()
+	raw, err := storage.ReadAll(ck, manifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := graph.DeframeAll(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["iteration"] = iter
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteAll(ck, manifestName, graph.FrameAll(data)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeUnreachableIterationFails pins the manifest's range check:
+// a validly framed manifest whose last completed iteration no BFS over
+// the graph can reach is corrupt, not a run to resume (math.MaxInt
+// used to "resume" with Metrics.Resumed wrapped negative).
+func TestResumeUnreachableIterationFails(t *testing.T) {
+	vol, m := seededGraph(t, 25)
+	for _, iter := range []int{math.MaxInt, int(m.Vertices) + 1} {
+		ck := storage.NewMem()
+		if _, err := envRun(vol, m.Name, ckOpts(ck, false, 2)); err != nil {
+			t.Fatal(err)
+		}
+		setManifestIteration(t, ck, iter)
+		res, err := envRun(vol, m.Name, ckOpts(ck, true, 0))
+		if !errors.Is(err, errs.ErrCorrupted) {
+			resumed := 0
+			if res != nil {
+				resumed = res.Metrics.Resumed
+			}
+			t.Fatalf("iteration %d: resume = %v (resumed %d), want ErrCorrupted", iter, err, resumed)
+		}
+	}
+}
+
+// FuzzManifestLoad feeds arbitrary manifest bodies, validly framed, to
+// the resume path of a tiny checkpointed run. Properties: nothing
+// panics; load either rejects a body as corrupt or accepts one that
+// meets its own invariants (known version, partitions present, a
+// reachable iteration); and a run resumed from an accepted manifest
+// either fails or reports a resumed-iteration count inside the graph's
+// iteration range, after seedFromManifest's checks against the run.
+func FuzzManifestLoad(f *testing.F) {
+	m, edges, err := gen.RMAT(5, 4, gen.Graph500(), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base := storage.NewMem()
+	if err := graph.Store(base, m, edges); err != nil {
+		f.Fatal(err)
+	}
+	opts := func(ck storage.Volume, resume bool, maxIter int) Options {
+		o := ckOpts(ck, resume, maxIter)
+		o.Base.MemoryBudget = 128 // four partitions
+		o.Base.Codec = graph.CodecFixed
+		return o
+	}
+	// A run cut after two iterations leaves the manifest the seeds vary
+	// and the working files it names; every input resumes against a
+	// fresh copy of that working volume.
+	ck := storage.NewMem()
+	if _, err := Run(base, m.Name, opts(ck, false, 2)); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := storage.ReadAll(ck, manifestName)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := graph.DeframeAll(raw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, name := range base.List() {
+		if files[name], err = storage.ReadAll(base, name); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(valid)
+	for _, repl := range []string{`"iteration":9223372036854775807`, `"iteration":-1`, `"iteration":33`, `"iteration":32`} {
+		f.Add([]byte(strings.Replace(string(valid), `"iteration":1`, repl, 1)))
+	}
+	f.Add([]byte(strings.Replace(string(valid), `"done":false`, `"done":true`, 1)))
+	f.Add([]byte(`{"version":1,"iteration":0,"parts":[{},{},{},{}]}`))
+	f.Add([]byte(`{"version":2,"iteration":0,"parts":[{}]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"iteration":`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ck := storage.NewMem()
+		if err := storage.WriteAll(ck, manifestName, graph.FrameAll(body)); err != nil {
+			t.Fatal(err)
+		}
+		man, err := (&checkpointer{vol: ck}).load(m.Vertices)
+		if err != nil {
+			if !errors.Is(err, errs.ErrCorrupted) {
+				t.Fatalf("load rejected %q with %v, want ErrCorrupted", body, err)
+			}
+			return
+		}
+		if man.Version != manifestVersion || man.Iteration < 0 || uint64(man.Iteration) > m.Vertices || len(man.Parts) == 0 {
+			t.Fatalf("load accepted %q: version %d, iteration %d, %d partitions", body, man.Version, man.Iteration, len(man.Parts))
+		}
+		vol := storage.NewMem()
+		for name, data := range files {
+			if err := storage.WriteAll(vol, name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := Run(vol, m.Name, opts(ck, true, 0))
+		if err != nil {
+			return
+		}
+		if r := res.Metrics.Resumed; r < 1 || uint64(r) > m.Vertices+1 {
+			t.Fatalf("resumed from %q: Metrics.Resumed = %d, outside [1,%d]", body, r, m.Vertices+1)
+		}
 	})
 }
 

@@ -164,23 +164,14 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 				return 0, err
 			}
 			gs := itSpan.Child("gather").SetPart(p)
-			newly, applied, err := e.gather(v, e.rt.UpdateFile(in, p), uint32(iter), func(vid graph.VertexID) {
+			if err := e.gather(st, v, e.rt.UpdateFile(in, p), nil, uint32(iter), &itRow, gs, func(vid graph.VertexID) {
 				d.frontier.Set(vid)
 				aDeg += float64(e.rt.OutDeg[vid])
-			})
-			gs.Attr("applied", applied).End()
-			if err != nil {
+			}); err != nil {
 				return 0, err
 			}
-			e.ctr.UpdatesApplied.Add(applied)
-			e.ctr.Visited.Add(int64(newly))
-			st.frontier = newly
-			st.visitedCount += newly
-			e.visited += newly
-			itRow.NewlyVisited += newly
-			itRow.Updates += applied
-			aNewly += newly
-			if newly > 0 {
+			aNewly += st.frontier
+			if st.frontier > 0 {
 				svs := itSpan.Child("load").SetPart(p)
 				err := e.saveVerts(p, iter, v)
 				svs.End()
@@ -232,10 +223,8 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 			degSum += dg
 		}
 	}
-	e.visited += newly
 	e.ds.RecordFrontier(newly, degSum, true)
 	e.ctr.BottomUpIters.Add(1)
-	itRow.NewlyVisited += newly
 	d.carryFrontier = newly
 	d.frontier, d.next = d.next, d.frontier
 
@@ -378,51 +367,18 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	bs.Attr("edges", scanned).Attr("stay_edges", stayed).End()
 	d.split = true
 
-	// Apply the winners partition by partition; only partitions that
-	// discovered vertices pay vertex-file traffic.
+	// Apply the winners partition by partition.
 	for p := 0; p < e.rt.Parts.P(); p++ {
 		if err := e.rt.Checkpoint(); err != nil {
 			return newly, degSum, err
 		}
-		st := &e.parts[p]
 		lo, hi := e.rt.Parts.Interval(p)
-		var count uint64
-		for vid := lo; vid < hi; vid++ {
-			if bestPart[vid] >= 0 {
-				count++
-			}
+		n, dg, err := e.applyWinners(p, iter, bestPart[lo:hi], bestParent[lo:hi], d, itRow, itSpan)
+		if err != nil {
+			return newly, degSum, err
 		}
-		st.updates = int64(count)
-		st.frontier = count
-		if count == 0 {
-			continue
-		}
-		lds := itSpan.Child("load").SetPart(p)
-		v, verr := e.loadVerts(p)
-		lds.End()
-		if verr != nil {
-			return newly, degSum, verr
-		}
-		for vid := lo; vid < hi; vid++ {
-			if bestPart[vid] < 0 {
-				continue
-			}
-			i := int(vid - lo)
-			v.Level[i] = uint32(iter) + 1
-			v.Parent[i] = bestParent[vid]
-			d.next.Set(vid)
-			e.rt.VisitedBits.Set(vid)
-			degSum += float64(e.rt.OutDeg[vid])
-		}
-		svs := itSpan.Child("load").SetPart(p)
-		verr = e.saveVerts(p, iter, v)
-		svs.End()
-		if verr != nil {
-			return newly, degSum, verr
-		}
-		st.visitedCount += count
-		newly += count
-		e.ctr.Visited.Add(int64(count))
+		newly += n
+		degSum += dg
 	}
 	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
 		float64(candidates)*e.rt.Costs.GatherPerUpdate +
@@ -445,7 +401,6 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 // after the pool drains, so file bytes and results are identical for
 // any worker count.
 func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
-	st := &e.parts[p]
 	e.rt.AwaitFile(d.revInput[p])
 	sc, err := stream.NewEdgeScanner(e.rt.Vol, d.revInput[p], d.revTiming[p], e.rt.Opts.StreamBufSize)
 	if err != nil {
@@ -571,43 +526,10 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 	}
 
-	for i := range bestPart {
-		if bestPart[i] >= 0 {
-			newly++
-		}
+	newly, degSum, err = e.applyWinners(p, iter, bestPart, bestParent, d, itRow, itSpan)
+	if err != nil {
+		return 0, 0, err
 	}
-	if newly > 0 {
-		// Only a partition that actually discovered vertices pays any
-		// vertex-file traffic: load, apply the winners, write back.
-		lds := itSpan.Child("load").SetPart(p)
-		v, err := e.loadVerts(p)
-		lds.End()
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := range bestPart {
-			if bestPart[i] >= 0 {
-				v.Level[i] = uint32(iter) + 1
-				v.Parent[i] = bestParent[i]
-				vid := lo + graph.VertexID(i)
-				d.next.Set(vid)
-				e.rt.VisitedBits.Set(vid)
-				degSum += float64(e.rt.OutDeg[vid])
-			}
-		}
-		svs := itSpan.Child("load").SetPart(p)
-		err = e.saveVerts(p, iter, v)
-		svs.End()
-		if err != nil {
-			return newly, degSum, err
-		}
-	}
-	e.ctr.Visited.Add(int64(newly))
-	st.visitedCount += newly
-	// Seed the state selective scheduling consults when the run hands
-	// back to top-down: the partition's share of the new frontier.
-	st.updates = int64(newly)
-	st.frontier = newly
 	itRow.EdgesStreamed += scanned
 	work := float64(scanned)*e.rt.Costs.ScatterPerEdge +
 		float64(candidates)*e.rt.Costs.GatherPerUpdate +
@@ -616,5 +538,54 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		work += float64(stayed) * e.rt.Costs.AppendPerStay
 	}
 	e.rt.Compute(work)
+	return newly, degSum, nil
+}
+
+// applyWinners writes partition p's bottom-up winners into its vertex
+// state and tallies them. bestPart[i] >= 0 marks the partition's i-th
+// vertex as discovered this pass, with parent bestParent[i]. Only a
+// partition that actually discovered vertices pays any vertex-file
+// traffic: load, apply the winners, write back. The per-partition
+// newly-visited count seeds the update/frontier state selective
+// scheduling consults when the run hands back to top-down.
+func (e *engine) applyWinners(p, iter int, bestPart []int32, bestParent []graph.VertexID, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
+	st := &e.parts[p]
+	for _, b := range bestPart {
+		if b >= 0 {
+			newly++
+		}
+	}
+	st.updates = int64(newly)
+	st.frontier = newly
+	if newly == 0 {
+		return 0, 0, nil
+	}
+	lds := itSpan.Child("load").SetPart(p)
+	v, err := e.loadVerts(p)
+	lds.End()
+	if err != nil {
+		return 0, 0, err
+	}
+	for i, b := range bestPart {
+		if b < 0 {
+			continue
+		}
+		v.Level[i] = uint32(iter) + 1
+		v.Parent[i] = bestParent[i]
+		vid := v.Lo + graph.VertexID(i)
+		d.next.Set(vid)
+		e.rt.VisitedBits.Set(vid)
+		degSum += float64(e.rt.OutDeg[vid])
+	}
+	svs := itSpan.Child("load").SetPart(p)
+	err = e.saveVerts(p, iter, v)
+	svs.End()
+	if err != nil {
+		return 0, 0, err
+	}
+	st.visitedCount += newly
+	e.visited += newly
+	itRow.NewlyVisited += newly
+	e.ctr.Visited.Add(int64(newly))
 	return newly, degSum, nil
 }

@@ -32,7 +32,11 @@
 // With trimming and selective scheduling both off the loop is
 // X-Stream's: RunXStream runs the baseline as that preset, so the
 // out-of-core scatter/gather loop and its direction-optimizing passes
-// exist once, for both engines.
+// exist once, for both engines. Its top-down kernel exists once too:
+// one classify (scatter), one gather-apply (gather) and one trim policy
+// (trimActive) serve a partition streamed from the device, a partition
+// promoted into RAM, and the in-memory fast path (inmemory.go), which
+// holds the whole graph as one resident partition.
 package core
 
 import (
@@ -196,12 +200,12 @@ func runContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 		return nil, fmt.Errorf("%s: %w: BFS takes unweighted graphs; %s is weighted", name, errs.ErrBadOptions, graphName)
 	}
 	defer rt.Cleanup()
+	e := &engine{rt: rt, opts: opts, name: name}
 	if rt.InMemory() && opts.CheckpointVol == nil {
 		// The in-memory fast path has no durable intermediate state to
 		// checkpoint; checkpointed runs always stream.
-		return runInMemory(rt, opts, name)
+		return e.runInMemory()
 	}
-	e := &engine{rt: rt, opts: opts, name: name}
 	return e.run()
 }
 
@@ -275,6 +279,10 @@ type engine struct {
 	ck        *checkpointer
 	graveyard []string
 
+	// updBuf is the gather's decode buffer, reused across partitions
+	// and iterations.
+	updBuf []graph.Update
+
 	visited       uint64
 	cancellations int
 	skipped       int
@@ -347,7 +355,7 @@ func (e *engine) run() (*Result, error) {
 
 	var man *checkpointManifest
 	if e.ck != nil && e.opts.Resume {
-		m, err := e.ck.load()
+		m, err := e.ck.load(e.rt.Meta.Vertices)
 		if err != nil {
 			return nil, err
 		}
@@ -604,28 +612,30 @@ func (e *engine) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		return nil
 	}
 
-	// A promoted partition's edges live in RAM: no stay file to resolve,
-	// no device input to open (DESIGN.md §8).
-	if st.resident != nil {
-		return e.iterateResident(p, iter, skipGather, sh, itRow, itSpan)
-	}
-
 	// Resolve and open the scatter input ahead of the gather: the
 	// pending stay file's adopt-or-cancel decision happens as the
 	// partition's processing starts (§II-C2), and the opened scanner's
 	// read-ahead overlaps the update streaming. The grace wait for a
 	// late stay write is time spent on the stay mechanism, hence the
-	// stay-write span.
-	sws := itSpan.Child("stay-write").SetPart(p)
-	input, inputTiming := e.resolveInput(p, itRow)
-	sws.End()
-	lds := itSpan.Child("load").SetPart(p)
-	e.rt.AwaitFile(input)
-	edgeScan, err := stream.NewEdgeScanner(e.rt.Vol, input, inputTiming, e.rt.Opts.StreamBufSize)
-	if err != nil {
-		return err
+	// stay-write span. A promoted partition's edges live in RAM: it has
+	// no stay file to resolve and no device input to open (DESIGN.md §8).
+	var input string
+	var inputTiming stream.Timing
+	if st.resident == nil {
+		sws := itSpan.Child("stay-write").SetPart(p)
+		input, inputTiming = e.resolveInput(p, itRow)
+		sws.End()
 	}
-	edgeScan.Prefetch(e.rt.Opts.PrefetchBuffers)
+	lds := itSpan.Child("load").SetPart(p)
+	var edgeScan *stream.Scanner[graph.Edge] // stays nil for a resident partition
+	if st.resident == nil {
+		e.rt.AwaitFile(input)
+		var err error
+		if edgeScan, err = stream.NewEdgeScanner(e.rt.Vol, input, inputTiming, e.rt.Opts.StreamBufSize); err != nil {
+			return err
+		}
+		edgeScan.Prefetch(e.rt.Opts.PrefetchBuffers)
+	}
 
 	var v *xstream.Verts
 	if iter == 0 {
@@ -641,6 +651,7 @@ func (e *engine) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		}
 		lds.End()
 	} else {
+		var err error
 		v, err = e.loadVerts(p)
 		lds.End()
 		if err != nil {
@@ -649,19 +660,10 @@ func (e *engine) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		}
 		if !skipGather {
 			gs := itSpan.Child("gather").SetPart(p)
-			newly, applied, err := e.gather(v, e.rt.UpdateFile(iterIn(iter), p), uint32(iter), nil)
-			gs.Attr("applied", applied).End()
-			if err != nil {
+			if err := e.gather(st, v, e.rt.UpdateFile(iterIn(iter), p), nil, uint32(iter), itRow, gs, nil); err != nil {
 				edgeScan.Close()
 				return err
 			}
-			e.ctr.UpdatesApplied.Add(applied)
-			e.ctr.Visited.Add(int64(newly))
-			st.frontier = newly
-			st.visitedCount += newly
-			e.visited += newly
-			itRow.NewlyVisited += newly
-			itRow.Updates += applied
 		}
 	}
 
@@ -728,21 +730,32 @@ func (e *engine) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 	return nil
 }
 
-// scatterInput runs one scatter attempt over st.input: pick the trim
-// sink (a stay file, or a residency capture when the whole input fits
-// the cache's fair share), stream the input through the worker pool and
-// finalize the sink. The scanner is consumed and closed in all cases.
-// When trimming is active the surviving edges need a sink. If the
-// capture path wins, this scatter promotes the partition: the stays are
-// captured in RAM instead of a stay file, so there is no async write,
-// no grace race and no possible cancellation for this partition ever
-// again.
+// scatterInput runs one scatter attempt over partition p's edge input
+// and routes the edges that survive the trim rule to one of three sinks:
+//
+//   - a stay file, the device path's trimmed next-iteration input;
+//   - a residency capture, when the whole input fits the cache's fair
+//     share: this scatter promotes the partition, its stays are captured
+//     in RAM instead of a stay file, so there is no async write, no
+//     grace race and no possible cancellation for it ever again;
+//   - the in-place compaction of an already promoted partition's
+//     resident slice, which is scattered from RAM instead of edgeScan
+//     (nil then).
+//
+// The scanner is consumed and closed in all cases.
 func (e *engine) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge], v *xstream.Verts) error {
 	var sink edgeSink
 	var stay *stream.StayFile
 	var capture *stream.Resident
+	var compact *compaction
 	var reserved int64
-	if trimNow && !st.stayBroken {
+	switch {
+	case st.resident != nil:
+		// Promotion happened under an active trim policy, which never
+		// switches off again, so a resident partition trims every scan.
+		compact = &compaction{kept: st.resident.Edges()[:0]}
+		sink = compact
+	case trimNow && !st.stayBroken:
 		if sz := edgeScan.Size(); e.resd.TryReserve(sz) {
 			reserved = sz
 			capture = stream.NewResident(sz / graph.EdgeBytes)
@@ -767,7 +780,12 @@ func (e *engine) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 		}
 	}
 	ss := itSpan.Child("scatter").SetPart(p)
-	scanned, stayed, err := e.scatter(v, edgeScan, uint32(iter), sh, sink)
+	var ram []graph.Edge
+	if compact != nil {
+		ss.Attr("resident", 1)
+		ram = st.resident.Edges()
+	}
+	scanned, _, stayed, err := e.scatter(v, edgeScan, ram, uint32(iter), sh, sink)
 	ss.Attr("edges", scanned).Attr("stayed", stayed)
 	if err != nil {
 		ss.End()
@@ -785,12 +803,15 @@ func (e *engine) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 			return err
 		}
 		st.pending = stay
-		itRow.StayEdges += stayed
-		e.trimmed += scanned - stayed
 		e.ctr.StayEdges.Add(stayed)
 		e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 	}
-	if capture != nil {
+	if sink != nil {
+		itRow.StayEdges += stayed
+		e.trimmed += scanned - stayed
+	}
+	switch {
+	case capture != nil:
 		// Promotion: the live edge set is now in RAM; the on-device
 		// input is gone for good. The stay write that a device run
 		// would have issued is traffic saved.
@@ -799,12 +820,21 @@ func (e *engine) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 		st.resident = capture
 		e.removeLater(st.input)
 		st.input, st.inputTiming = "", stream.Timing{}
-		itRow.StayEdges += stayed
-		e.trimmed += scanned - stayed
 		e.ctr.Promotions.Add(1)
 		e.ctr.ResidentParts.Set(e.resd.ResidentParts())
 		e.ctr.ResidentBytes.Set(e.resd.Bytes())
 		ss.Attr("promote", 1)
+	case compact != nil:
+		// The resident slice shrinks to its survivors; the RAM scan
+		// replaced a device read and the avoided stay write is traffic
+		// saved.
+		scannedBytes := st.resident.Bytes()
+		st.resident.Replace(compact.kept)
+		e.resd.NoteScan(scannedBytes)
+		e.resd.Shrink(scannedBytes - st.resident.Bytes())
+		e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
+		e.ctr.ResidentScans.Add(1)
+		e.ctr.ResidentBytes.Set(e.resd.Bytes())
 	}
 	ss.End()
 	return nil
@@ -878,10 +908,42 @@ func (e *engine) resolveInput(p int, itRow *metrics.Iteration) (string, stream.T
 	return st.input, st.inputTiming
 }
 
-// gather streams partition updates and marks unvisited destinations.
+// gather applies one batch of updates to the vertex state v of
+// partition st at level and tallies what it discovered: the run's and
+// the partition's visited counts, the partition's frontier, the
+// iteration row and the live counters. The batch is the device update
+// file updFile or, on the in-memory path (updFile ""), the slice ups.
 // onNew, when non-nil, is called for each newly visited vertex (the
-// bottom-up transition pass uses it to build its frontier bitmap).
-func (e *engine) gather(v *xstream.Verts, updFile string, level uint32, onNew func(graph.VertexID)) (newly uint64, applied int64, err error) {
+// bottom-up transition pass uses it to build its frontier bitmap). gs
+// is the gather span; gather ends it.
+func (e *engine) gather(st *partState, v *xstream.Verts, updFile string, ups []graph.Update, level uint32, itRow *metrics.Iteration, gs *obs.Span, onNew func(graph.VertexID)) error {
+	newly, applied, err := e.applyUpdates(v, updFile, ups, level, onNew)
+	gs.Attr("applied", applied).End()
+	if err != nil {
+		return err
+	}
+	e.ctr.UpdatesApplied.Add(applied)
+	e.ctr.Visited.Add(int64(newly))
+	st.frontier = newly
+	st.visitedCount += newly
+	e.visited += newly
+	itRow.NewlyVisited += newly
+	itRow.Updates += applied
+	return nil
+}
+
+// applyUpdates runs apply over one update batch — the device file
+// updFile, or the slice ups when updFile is "" — and charges the gather
+// compute.
+func (e *engine) applyUpdates(v *xstream.Verts, updFile string, ups []graph.Update, level uint32, onNew func(graph.VertexID)) (uint64, int64, error) {
+	if updFile == "" {
+		newly, err := e.apply(v, ups, level, onNew)
+		if err != nil {
+			return newly, int64(len(ups)), err
+		}
+		e.rt.Compute(float64(len(ups)) * e.rt.Costs.GatherPerUpdate)
+		return newly, int64(len(ups)), nil
+	}
 	e.rt.AwaitFile(updFile)
 	sc, err := stream.NewUpdateScanner(e.rt.Vol, updFile, e.auxTiming(), e.rt.Opts.StreamBufSize)
 	if err != nil {
@@ -889,18 +951,42 @@ func (e *engine) gather(v *xstream.Verts, updFile string, level uint32, onNew fu
 	}
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
+	if e.updBuf == nil {
+		e.updBuf = make([]graph.Update, gatherChunk)
+	}
+	var newly uint64
+	var applied int64
 	for {
-		u, ok, err := sc.Next()
+		n, err := sc.NextChunk(e.updBuf)
 		if err != nil {
 			return newly, applied, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		applied++
+		k, err := e.apply(v, e.updBuf[:n], level, onNew)
+		newly += k
+		applied += int64(n)
+		if err != nil {
+			return newly, applied, err
+		}
+	}
+	e.rt.BytesRead += sc.BytesRead()
+	e.rt.Compute(float64(applied) * e.rt.Costs.GatherPerUpdate)
+	return newly, applied, nil
+}
+
+// gatherChunk is how many updates the gather decodes per scanner call.
+const gatherChunk = 4096
+
+// apply marks the unvisited destinations of us visited at level, first
+// update wins: a destination's parent is the source of its earliest
+// update, so parents depend only on each destination's update order.
+func (e *engine) apply(v *xstream.Verts, us []graph.Update, level uint32, onNew func(graph.VertexID)) (newly uint64, err error) {
+	for _, u := range us {
 		i := int(u.Dst - v.Lo)
 		if i < 0 || i >= len(v.Level) {
-			return newly, applied, fmt.Errorf("fastbfs: update %v outside partition [%d,%d)", u, v.Lo, int(v.Lo)+len(v.Level))
+			return newly, fmt.Errorf("fastbfs: update %v outside partition [%d,%d)", u, v.Lo, int(v.Lo)+len(v.Level))
 		}
 		if v.Level[i] == xstream.NoLevel {
 			v.Level[i] = level
@@ -914,29 +1000,60 @@ func (e *engine) gather(v *xstream.Verts, updFile string, level uint32, onNew fu
 			}
 		}
 	}
-	e.rt.BytesRead += sc.BytesRead()
-	e.rt.Compute(float64(applied) * e.rt.Costs.GatherPerUpdate)
-	return newly, applied, nil
+	return newly, nil
+}
+
+// updateSink receives a scatter's emitted updates, routed by destination
+// partition: the shuffler on the streaming path, an updateList on the
+// in-memory path.
+type updateSink interface {
+	AppendTo(p int, us []graph.Update) error
+}
+
+// updateList collects every emitted update in one slice. Appending each
+// partition's run in turn keeps every destination's updates in scan
+// order, which is all the first-wins gather depends on.
+type updateList []graph.Update
+
+func (l *updateList) AppendTo(_ int, us []graph.Update) error {
+	*l = append(*l, us...)
+	return nil
 }
 
 // edgeSink receives the edges that survive the trim rule during a
 // scatter: a *stream.StayFile on the device path, a *stream.Resident
-// when the scatter is promoting the partition into the residency cache.
+// when the scatter is promoting the partition into the residency cache,
+// a compaction when it rescans a promoted partition.
 type edgeSink interface {
 	Append(graph.Edge) error
 }
 
-// scatter streams the edge input through the worker pool: frontier
-// sources emit updates; when stay is non-nil, edges with unvisited
-// sources are appended to it (the trim rule — a visited source can
-// never produce a future update). Workers only classify; the shuffler
-// and the stay file (whose buffer hand-offs interact with the virtual
-// clock) stay on the engine thread, fed in chunk order, so file bytes
-// and timing are identical for any worker count.
-func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter uint32, sh *stream.Shuffler, stay edgeSink) (scanned, stayed int64, err error) {
-	defer sc.Close()
-	var emitted int64
-	lo, n := v.Lo, len(v.Level)
+// compaction trims a resident edge slice in place: kept starts as the
+// slice's empty prefix, and the pool merges chunks strictly in order
+// while later chunks may still be classifying, so survivors are written
+// at indices strictly below any chunk a worker can still read (the
+// merge frontier trails the dispatch frontier) and no worker ever sees
+// a mutated edge.
+type compaction struct{ kept []graph.Edge }
+
+func (c *compaction) Append(edge graph.Edge) error {
+	c.kept = append(c.kept, edge)
+	return nil
+}
+
+// scatter runs the top-down classify over one edge input — the device
+// scanner sc or, when sc is nil, the RAM slice ram — through the worker
+// pool: frontier sources (level iter) emit updates into updates; when
+// stay is non-nil, edges with unvisited sources are appended to it (the
+// trim rule — a visited source can never produce a future update).
+// Workers only classify; the two sinks (whose buffer hand-offs interact
+// with the virtual clock) stay on the engine thread, fed in chunk order,
+// so file bytes and timing are identical for any worker count. A device
+// input is charged as the bytes its scanner read, a RAM input as a
+// serial memory-bandwidth pass.
+func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], ram []graph.Edge, iter uint32, updates updateSink, stay edgeSink) (scanned, emitted, stayed int64, err error) {
+	lo, level, parts := v.Lo, v.Level, e.rt.Parts
+	n := len(level)
 	trim := stay != nil
 	classify := func(edges []graph.Edge, out *stream.Shard) {
 		for _, edge := range edges {
@@ -946,12 +1063,13 @@ func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter 
 				out.Err = fmt.Errorf("fastbfs: edge %v outside partition [%d,%d)", edge, lo, int(lo)+n)
 				return
 			}
-			if v.Level[i] == iter {
-				p := e.rt.Parts.Of(edge.Dst)
+			l := level[i]
+			if l == iter {
+				p := parts.Of(edge.Dst)
 				out.ByPart[p] = append(out.ByPart[p], graph.Update{Dst: edge.Dst, Parent: edge.Src})
 				out.Emitted++
 			}
-			if trim && v.Level[i] == xstream.NoLevel {
+			if trim && l == xstream.NoLevel {
 				out.Stays = append(out.Stays, edge)
 				out.Stayed++
 			}
@@ -974,7 +1092,7 @@ func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter 
 					e.candDeg += float64(e.rt.OutDeg[u.Dst])
 				}
 			}
-			if err := sh.AppendTo(p, us); err != nil {
+			if err := updates.AppendTo(p, us); err != nil {
 				return err
 			}
 		}
@@ -985,148 +1103,29 @@ func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter 
 		}
 		return nil
 	}
-	if err := e.pool.RunScanner(sc, classify, merge); err != nil {
-		return scanned, stayed, err
+	if sc != nil {
+		defer sc.Close()
+		if err := e.pool.RunScanner(sc, classify, merge); err != nil {
+			return scanned, emitted, stayed, err
+		}
+		e.rt.BytesRead += sc.BytesRead()
+	} else {
+		if err := e.pool.RunSlice(ram, classify, merge); err != nil {
+			return scanned, emitted, stayed, err
+		}
+		e.rt.RAMScan(int64(len(ram)) * graph.EdgeBytes)
 	}
-	e.rt.BytesRead += sc.BytesRead()
 	work := float64(scanned)*e.rt.Costs.ScatterPerEdge + float64(emitted)*e.rt.Costs.AppendPerUpdate
 	if trim {
 		work += float64(stayed) * e.rt.Costs.AppendPerStay
 	}
 	e.rt.Compute(work)
-	return scanned, stayed, nil
+	return scanned, emitted, stayed, nil
 }
 
-// iterateResident is iteratePartition for a promoted partition: the
-// gather is unchanged (updates still stream from the device), but the
-// scatter reads the resident edge slice and trims it in place. There is
-// no stay file, so no adopt-or-cancel decision and no stay-write span.
-func (e *engine) iterateResident(p, iter int, skipGather bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span) error {
-	st := &e.parts[p]
-	lds := itSpan.Child("load").SetPart(p)
-	v, err := e.loadVerts(p)
-	lds.End()
-	if err != nil {
-		return err
-	}
-	if !skipGather {
-		gs := itSpan.Child("gather").SetPart(p)
-		newly, applied, err := e.gather(v, e.rt.UpdateFile(iterIn(iter), p), uint32(iter), nil)
-		gs.Attr("applied", applied).End()
-		if err != nil {
-			return err
-		}
-		e.ctr.UpdatesApplied.Add(applied)
-		e.ctr.Visited.Add(int64(newly))
-		st.frontier = newly
-		st.visitedCount += newly
-		e.visited += newly
-		itRow.NewlyVisited += newly
-		itRow.Updates += applied
-	}
-
-	if st.frontier > 0 || e.opts.DisableSelectiveScheduling {
-		ss := itSpan.Child("scatter").SetPart(p).Attr("resident", 1)
-		scanned, stayed, err := e.scatterResident(v, st.resident, uint32(iter), sh)
-		ss.Attr("edges", scanned).Attr("stayed", stayed).End()
-		if err != nil {
-			return err
-		}
-		itRow.EdgesStreamed += scanned
-		itRow.StayEdges += stayed
-		e.trimmed += scanned - stayed
-		e.ctr.ResidentScans.Add(1)
-		e.ctr.ResidentBytes.Set(e.resd.Bytes())
-	} else {
-		itRow.SkippedPartitions++
-		e.skipped++
-		e.ctr.Skipped.Add(1)
-	}
-
-	if st.frontier > 0 && !skipGather || e.opts.DisableSelectiveScheduling {
-		svs := itSpan.Child("load").SetPart(p)
-		err := e.saveVerts(p, iter, v)
-		svs.End()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterResident scatters a promoted partition from RAM through the
-// same worker pool. The device read is replaced by a serial
-// memory-bandwidth charge on the virtual clock, and trimming becomes an
-// in-place compaction of the resident slice: merged chunks append their
-// survivors at indices strictly below any chunk still being classified
-// (the merge frontier trails the dispatch frontier), so workers never
-// see a mutated edge. No stay file is written — the avoided write is
-// counted as device traffic saved.
-func (e *engine) scatterResident(v *xstream.Verts, res *stream.Resident, iter uint32, sh *stream.Shuffler) (scanned, stayed int64, err error) {
-	edges := res.Edges()
-	kept := edges[:0]
-	var emitted int64
-	lo, n := v.Lo, len(v.Level)
-	classify := func(chunk []graph.Edge, out *stream.Shard) {
-		for _, edge := range chunk {
-			out.Scanned++
-			i := int(edge.Src - lo)
-			if i < 0 || i >= n {
-				out.Err = fmt.Errorf("fastbfs: edge %v outside partition [%d,%d)", edge, lo, int(lo)+n)
-				return
-			}
-			if v.Level[i] == iter {
-				p := e.rt.Parts.Of(edge.Dst)
-				out.ByPart[p] = append(out.ByPart[p], graph.Update{Dst: edge.Dst, Parent: edge.Src})
-				out.Emitted++
-			}
-			if v.Level[i] == xstream.NoLevel {
-				out.Stays = append(out.Stays, edge)
-				out.Stayed++
-			}
-		}
-	}
-	merge := func(s *stream.Shard) error {
-		scanned += s.Scanned
-		emitted += s.Emitted
-		stayed += s.Stayed
-		e.ctr.Edges.Add(s.Scanned)
-		e.ctr.UpdatesEmitted.Add(s.Emitted)
-		for p, us := range s.ByPart {
-			if len(us) == 0 {
-				continue
-			}
-			if e.rt.OutDeg != nil {
-				// α's look-ahead: the emitted updates are the next
-				// level's candidates; sum their out-degrees.
-				for _, u := range us {
-					e.candDeg += float64(e.rt.OutDeg[u.Dst])
-				}
-			}
-			if err := sh.AppendTo(p, us); err != nil {
-				return err
-			}
-		}
-		kept = append(kept, s.Stays...)
-		return nil
-	}
-	scannedBytes := int64(len(edges)) * graph.EdgeBytes
-	if err := e.pool.RunSlice(edges, classify, merge); err != nil {
-		return scanned, stayed, err
-	}
-	e.rt.RAMScan(scannedBytes)
-	e.resd.NoteScan(scannedBytes)
-	freed := res.Bytes() - int64(len(kept))*graph.EdgeBytes
-	res.Replace(kept)
-	e.resd.Shrink(freed)
-	e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
-	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
-		float64(emitted)*e.rt.Costs.AppendPerUpdate +
-		float64(stayed)*e.rt.Costs.AppendPerStay)
-	return scanned, stayed, nil
-}
-
-// trimActive applies the trim-threshold policy (§II-C3).
+// trimActive applies the trim-threshold policy (§II-C3) against the
+// run's visited count at the call: the streaming loop asks before an
+// iteration's scatter, the in-memory path after its gather.
 func (e *engine) trimActive(iter int) bool {
 	if e.opts.DisableTrimming {
 		return false
@@ -1156,42 +1155,4 @@ func (e *engine) drainPending() {
 			e.parts[p].pending = nil
 		}
 	}
-}
-
-// runInMemory reuses X-Stream's in-memory fast path with an in-memory
-// trim step: after each iteration, edges whose source is already visited
-// (level below the next frontier's) are compacted away — NoLevel is the
-// maximum uint32, so "keep iff level[src] >= next frontier level" keeps
-// exactly the unvisited and just-discovered sources.
-func runInMemory(rt *xstream.Runtime, opts Options, name string) (*Result, error) {
-	if opts.DisableTrimming {
-		return xstream.RunInMemory(rt, name, nil)
-	}
-	next := uint32(0)
-	visited := uint64(1)
-	trim := func(edges []graph.Edge, level []uint32) []graph.Edge {
-		next++
-		if int(next)-1 < opts.TrimStartIteration {
-			return edges
-		}
-		if opts.TrimVisitedFraction > 0 {
-			visited = 0
-			for _, l := range level {
-				if l != xstream.NoLevel {
-					visited++
-				}
-			}
-			if float64(visited)/float64(rt.Meta.Vertices) < opts.TrimVisitedFraction {
-				return edges
-			}
-		}
-		out := edges[:0]
-		for _, e := range edges {
-			if level[e.Src] >= next {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	return xstream.RunInMemory(rt, name, trim)
 }

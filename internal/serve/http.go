@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"time"
@@ -162,6 +163,10 @@ func requestTraceID(r *http.Request) string {
 	return string(clean)
 }
 
+// maxTimeoutMs is the largest timeout_ms whose time.Duration does not
+// overflow; a larger value would wrap to a negative or tiny deadline.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
 func (s *GraphService) handleQuery(w http.ResponseWriter, r *http.Request) {
 	traceID := requestTraceID(r)
 	w.Header().Set("X-Request-Id", traceID)
@@ -198,6 +203,13 @@ func (s *GraphService) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, r := range hq.Roots {
 		q.Roots = append(q.Roots, graph.VertexID(r))
+	}
+	if int64(hq.TimeoutMs) > maxTimeoutMs {
+		writeJSON(w, http.StatusBadRequest, httpError{
+			Error:   fmt.Sprintf("timeout_ms %d exceeds the largest representable timeout (%d)", hq.TimeoutMs, maxTimeoutMs),
+			TraceID: traceID,
+		})
+		return
 	}
 	ctx := r.Context()
 	if hq.TimeoutMs > 0 {

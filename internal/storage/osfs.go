@@ -31,8 +31,12 @@ func NewOS(dir string) (*OS, error) {
 // Dir returns the directory backing the volume.
 func (v *OS) Dir() string { return v.dir }
 
+// path maps a file name to its path under the volume directory. A name
+// is one plain file name: empty names, path separators and the "." and
+// ".." directory entries are rejected, so no name reaches the volume
+// directory itself or anything outside it.
 func (v *OS) path(name string) (string, error) {
-	if name == "" || strings.ContainsAny(name, "/\\") {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
 		return "", fmt.Errorf("storage: invalid file name %q", name)
 	}
 	return filepath.Join(v.dir, name), nil

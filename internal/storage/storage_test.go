@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -349,6 +350,47 @@ func TestOSRejectsPathTraversal(t *testing.T) {
 		if _, err := v.Create(name); err == nil {
 			t.Errorf("Create(%q) succeeded", name)
 		}
+	}
+}
+
+// TestOSRejectsDotNames pins that "." and ".." are not file names: they
+// would otherwise open the parent directory, report it as existing, or
+// remove the (empty) volume directory itself.
+func TestOSRejectsDotNames(t *testing.T) {
+	dir := t.TempDir() + "/vol"
+	v, err := NewOS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{".", ".."} {
+		if r, err := v.Open(name); err == nil {
+			r.Close()
+			t.Errorf("Open(%q) succeeded", name)
+		}
+		if v.Exists(name) {
+			t.Errorf("Exists(%q) = true", name)
+		}
+		if err := v.Remove(name); err == nil {
+			t.Errorf("Remove(%q) succeeded", name)
+		}
+		if _, err := v.Size(name); err == nil {
+			t.Errorf("Size(%q) succeeded", name)
+		}
+		if _, err := v.Create(name); err == nil {
+			t.Errorf("Create(%q) succeeded", name)
+		}
+		if err := v.Rename(name, "x"); err == nil {
+			t.Errorf("Rename(%q, x) succeeded", name)
+		}
+		if _, err := v.ReadRange(name, 0, 0); err == nil {
+			t.Errorf("ReadRange(%q) succeeded", name)
+		}
+		if err := v.Patch(name, 0, nil); err == nil {
+			t.Errorf("Patch(%q) succeeded", name)
+		}
+	}
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		t.Fatalf("volume directory gone after the dot-name calls: %v", err)
 	}
 }
 

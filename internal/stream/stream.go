@@ -253,9 +253,10 @@ func (s *Scanner[T]) BytesRead() int64 { return s.read }
 func (s *Scanner[T]) Size() int64 { return s.r.Size() }
 
 // Close releases the underlying file, cancelling any outstanding
-// read-ahead (refunding its unconsumed device time and bytes).
+// read-ahead (refunding its unconsumed device time and bytes). Closing
+// a nil scanner is a no-op.
 func (s *Scanner[T]) Close() error {
-	if s.closed {
+	if s == nil || s.closed {
 		return nil
 	}
 	s.closed = true

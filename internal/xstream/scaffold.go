@@ -13,11 +13,11 @@
 // The paper builds FastBFS by modifying X-Stream, so the out-of-core
 // scatter/gather loop exists once, in internal/core: the X-Stream
 // baseline is that loop with trimming and selective scheduling off
-// (core.RunXStream). This package keeps what the loop, GraphChi and the
-// in-memory fast path share: options, the run's runtime (partitioning,
-// clock, byte accounting, working-file names, the initial
-// streaming-partition split), the per-partition vertex store, the
-// direction scaffolding and RunInMemory.
+// (core.RunXStream), and so does the in-memory fast path. This package
+// keeps what core and GraphChi share: options, the run's runtime
+// (partitioning, clock, byte accounting, working-file names, the initial
+// streaming-partition split), the per-partition vertex store and the
+// direction scaffolding.
 package xstream
 
 import (
@@ -34,6 +34,9 @@ import (
 	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
 )
+
+// EngineName identifies X-Stream in metrics and file prefixes.
+const EngineName = "xstream"
 
 // PerVertexMemBytes is the modelled in-memory footprint per vertex of a
 // loaded partition (8 bytes of state plus buffer overhead); the memory
